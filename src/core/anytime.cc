@@ -122,8 +122,7 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
   // stop_at_width) recovers one quickly. A truncated DP returns nullopt and
   // contributes nothing.
   std::optional<int> dp_width;
-  if (options.use_subset_dp && h.num_vertices() <= kMaxGhwDpVertices &&
-      !root->Stopped()) {
+  if (h.num_vertices() <= kMaxGhwDpVertices && !root->Stopped()) {
     GHD_SPAN_VAR(span, "anytime", "rung:subset-dp");
     GHD_BOARD_RUNG("subset-dp");
     GHD_ATTR_SCOPE(rung_attr, "subset-dp");
@@ -171,8 +170,7 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
   // the paper's inequality ghw <= hw <= 3*ghw + 1 converts it into bounds on
   // both sides: hw itself is an upper bound (every HD is a GHD), and
   // hw > k implies ghw >= ceil(k/3).
-  if (options.use_det_k_decomp && result.lower_bound < result.upper_bound &&
-      !root->Stopped()) {
+  if (result.lower_bound < result.upper_bound && !root->Stopped()) {
     GHD_SPAN_VAR(span, "anytime", "rung:det-k-decomp");
     GHD_BOARD_RUNG("det-k-decomp");
     GHD_ATTR_SCOPE(rung_attr, "det-k-decomp");

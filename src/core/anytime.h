@@ -45,12 +45,6 @@ struct AnytimeOptions {
   /// Restarts for the randomized upper-bound heuristic.
   int heuristic_restarts = 8;
   uint64_t seed = 1;
-  /// Run the 2^n subset DP when the instance is small enough. It is an
-  /// independent exact engine, so it doubles as a cross-check on the B&B.
-  bool use_subset_dp = true;
-  /// Fall back to det-k-decomp (hypertree width) to tighten the interval via
-  /// ghw <= hw <= 3*ghw + 1 when the exact engine was truncated.
-  bool use_det_k_decomp = true;
 };
 
 /// One rung of the ladder: which engine ran and the certified interval after

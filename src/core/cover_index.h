@@ -8,7 +8,7 @@
 // closure (BIP instances inflate it far beyond the edge count). The index
 // stores, per vertex, the bitset of guards containing that vertex; candidate
 // discovery becomes a word-parallel union over the component's vertices, the
-// exact dual of Hypergraph::IncidentEdges for component splitting.
+// exact dual of FlatHypergraph::incidence_bits for component splitting.
 //
 // Candidates come back connected-first: guards meeting the state's connector
 // ordered by how much of it they cover, then the rest by component coverage.

@@ -56,7 +56,7 @@ void IncrementalSolver::Apply(const EdgeDelta& delta) {
   const int n = current_.num_vertices();
   const double dirty_fraction =
       n > 0 ? static_cast<double>(r.dirty_vertices.Count()) / n : 0.0;
-  if (ladder_ == nullptr || dirty_fraction > options_.max_dirty_fraction) {
+  if (ladder_ == nullptr || dirty_fraction > kMaxDirtyFraction) {
     if (ladder_ != nullptr) {
       ++stats_.ladder_drops;
       ladder_.reset();

@@ -40,7 +40,7 @@
 // root memo state contains every edge and is therefore invalidated by every
 // delta, so even a warm re-solve pays a root re-expansion; the fingerprint
 // memo is what makes exact repeats cheap. Second, when the dirty region
-// exceeds `max_dirty_fraction` of the vertex universe the warm ladder is
+// exceeds kMaxDirtyFraction of the vertex universe the warm ladder is
 // dropped and the next ask boots from scratch — through the canonical-
 // fingerprint DecompCache when one is attached, which additionally unifies
 // relabeled (isomorphic) versions.
@@ -57,11 +57,12 @@
 
 namespace ghd {
 
+/// Rebind threshold: when |dirty vertices| / |vertex universe| exceeds this,
+/// the warm ladder is dropped instead of swept (a mostly-dirty memo is not
+/// worth the sweep, and the full-solve path gets a cache shot).
+inline constexpr double kMaxDirtyFraction = 0.25;
+
 struct IncrementalOptions {
-  /// Rebind threshold: when |dirty vertices| / |vertex universe| exceeds
-  /// this, the warm ladder is dropped instead of swept (a mostly-dirty memo
-  /// is not worth the sweep, and the full-solve path gets a cache shot).
-  double max_dirty_fraction = 0.25;
   /// Threads for the underlying deciders (1 = deterministic sequential).
   int num_threads = 1;
   /// Optional decomposition cache consulted (and fed) by the cold-path full

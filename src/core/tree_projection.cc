@@ -1,9 +1,13 @@
 #include "core/tree_projection.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "hypergraph/flat_hypergraph.h"
+#include "hypergraph/kernels.h"
 #include "obs/obs.h"
 #include "util/check.h"
 #include "util/set_interner.h"
@@ -128,15 +132,20 @@ TreeProjectionResult TreeProjectionExists(const Hypergraph& h,
     }
     // Every bag must fit inside some G-edge (the sandwich condition). A
     // G-edge contains the bag iff it contains every bag vertex, so the
-    // candidates are the intersection of G's per-vertex incidence bitsets —
-    // no rescan of all edges per bag. A violation is an engine bug (the
+    // candidates are the intersection of G's incidence_bits rows — no
+    // rescan of all edges per bag. A violation is an engine bug (the
     // decider constructs bags as subsets of single guards); report it as
     // undecided-with-diagnostic rather than aborting the process.
+    const BitMatrix& incidence = g.Flat().incidence_bits();
+    const int words = incidence.logical_words();
+    std::vector<uint64_t> candidates(words);
     for (size_t b = 0; b < result.witness.bags.size(); ++b) {
       const VertexSet& bag = result.witness.bags[b];
-      VertexSet candidates = VertexSet::Full(g.num_edges());
-      bag.ForEach([&](int v) { candidates &= g.IncidentEdges(v); });
-      if (candidates.Empty()) {
+      std::fill(candidates.begin(), candidates.end(), ~uint64_t{0});
+      bag.ForEach([&](int v) {
+        kernels::AndAssign(candidates.data(), incidence.row(v), words);
+      });
+      if (kernels::IsEmpty(candidates.data(), words)) {
         result.decided = false;
         result.exists = false;
         result.diagnostic = "sandwich violation: bag " + std::to_string(b) +

@@ -119,7 +119,7 @@ class CanonicalSearch {
           flat_.vertex_offsets()[v + 1] - flat_.vertex_offsets()[v];
       c->vc[v] = SplitMix64(kVertexSeed ^ static_cast<uint64_t>(degree));
     }
-    const bool profile = m_ > 0 && m_ <= options_.max_profile_edges;
+    const bool profile = m_ > 0 && m_ <= kMaxProfileEdges;
     std::vector<int32_t> ids(m_);
     std::iota(ids.begin(), ids.end(), 0);
     std::vector<int> counts(m_);
@@ -326,7 +326,7 @@ class CanonicalSearch {
       i = j;
     }
     if (target_begin < 0) {
-      EmitLeaf(c, order);
+      EmitLeaf(order);
       return;
     }
     if (nodes_ >= options_.max_nodes) fallback_ = true;
@@ -381,7 +381,7 @@ class CanonicalSearch {
   // A discrete (or twin-resolved) leaf: derive the permutations, build the
   // canonical encoding, and keep it when lexicographically smaller than the
   // best seen.
-  void EmitLeaf(const Coloring& c, const std::vector<int>& vertex_order) {
+  void EmitLeaf(const std::vector<int>& vertex_order) {
     std::vector<int> vperm(n_);
     for (int i = 0; i < n_; ++i) vperm[vertex_order[i]] = i;
     // Relabel every edge and sort members.

@@ -76,10 +76,11 @@ struct CanonicalizeOptions {
   /// every suite family (the worst, vertex-transitive cycles, need
   /// ~2 * num_vertices nodes).
   long max_nodes = 4096;
-  /// Skip the O(m^2) pairwise intersection profile above this edge count
-  /// (refinement alone recovers the distinctions in a round or two).
-  int max_profile_edges = 2048;
 };
+
+/// Canonicalize skips the O(m^2) pairwise intersection profile above this
+/// edge count (refinement alone recovers the distinctions in a round or two).
+inline constexpr int kMaxProfileEdges = 2048;
 
 /// The canonical form: key + the relabeling that produced it.
 struct CanonicalFormResult {

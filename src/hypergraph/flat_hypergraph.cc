@@ -35,14 +35,22 @@ FlatHypergraph::FlatHypergraph(const Hypergraph& h)
     edge_offsets_.push_back(static_cast<int32_t>(edge_vertices_.size()));
   }
 
-  vertex_offsets_.reserve(num_vertices_ + 1);
-  vertex_offsets_.push_back(0);
+  // Vertex -> edge CSR by transposing the edge CSR (a counting sort):
+  // edges are visited in ascending id order, so each vertex's list comes
+  // out sorted.
+  vertex_offsets_.assign(num_vertices_ + 1, 0);
+  for (int32_t v : edge_vertices_) ++vertex_offsets_[v + 1];
   for (int v = 0; v < num_vertices_; ++v) {
-    for (int e : h.EdgesContaining(v)) {
-      vertex_edges_.push_back(e);
+    vertex_offsets_[v + 1] += vertex_offsets_[v];
+  }
+  vertex_edges_.resize(edge_vertices_.size());
+  std::vector<int32_t> next(vertex_offsets_.begin(), vertex_offsets_.end() - 1);
+  for (int e = 0; e < num_edges_; ++e) {
+    for (int32_t i = edge_offsets_[e]; i < edge_offsets_[e + 1]; ++i) {
+      const int32_t v = edge_vertices_[i];
+      vertex_edges_[next[v]++] = e;
       incidence_bits_.row(v)[e >> 6] |= uint64_t{1} << (e & 63);
     }
-    vertex_offsets_.push_back(static_cast<int32_t>(vertex_edges_.size()));
   }
 
   build_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(

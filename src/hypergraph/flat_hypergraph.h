@@ -82,8 +82,10 @@ class BitMatrix {
 };
 
 /// The flat view of one Hypergraph. Immutable after construction; references
-/// into it (rows, CSR spans) are stable for its lifetime. Construction cost
-/// is one pass over the incidence lists (accumulated in flat_build_ns).
+/// into it (rows, CSR spans) are stable for its lifetime. It is the only
+/// per-vertex incidence store: the vertex CSR and incidence_bits are built
+/// by transposing the edge CSR, in one pass over the edges (accumulated in
+/// flat_build_ns).
 class FlatHypergraph {
  public:
   explicit FlatHypergraph(const Hypergraph& h);

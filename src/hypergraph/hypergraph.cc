@@ -19,14 +19,6 @@ Hypergraph::Hypergraph(std::vector<std::string> vertex_names,
   for (const VertexSet& e : edges_) GHD_CHECK(e.universe_size() == n);
   vertex_ids_.reserve(vertex_names_.size());
   for (int v = 0; v < n; ++v) vertex_ids_[vertex_names_[v]] = v;
-  incidence_.assign(n, {});
-  incident_edges_.assign(n, VertexSet(num_edges()));
-  for (int e = 0; e < num_edges(); ++e) {
-    edges_[e].ForEach([&](int v) {
-      incidence_[v].push_back(e);
-      incident_edges_[v].Set(e);
-    });
-  }
   flat_ = std::make_shared<const FlatHypergraph>(*this);
 }
 
@@ -86,8 +78,11 @@ int Hypergraph::Rank() const {
 }
 
 int Hypergraph::MaxDegree() const {
+  const std::vector<int32_t>& offsets = flat_->vertex_offsets();
   int d = 0;
-  for (const auto& inc : incidence_) d = std::max(d, static_cast<int>(inc.size()));
+  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
+    d = std::max(d, offsets[v + 1] - offsets[v]);
+  }
   return d;
 }
 

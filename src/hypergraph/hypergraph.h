@@ -36,16 +36,6 @@ class Hypergraph {
   const VertexSet& edge(int e) const { return edges_[e]; }
   const std::vector<VertexSet>& edges() const { return edges_; }
 
-  /// Ids of the edges containing vertex v.
-  const std::vector<int>& EdgesContaining(int v) const {
-    return incidence_[v];
-  }
-
-  /// Edge ids containing vertex v, as a bitset over {0, ..., num_edges-1}.
-  /// Precomputed at construction; the word-parallel dual of EdgesContaining,
-  /// used by component splitting and cover-candidate filtering.
-  const VertexSet& IncidentEdges(int v) const { return incident_edges_[v]; }
-
   /// Ids of all edges containing at least one vertex of `vs` (a union of
   /// incidence bitsets, whole words at a time).
   VertexSet EdgesIntersecting(const VertexSet& vs) const;
@@ -76,7 +66,8 @@ class Hypergraph {
 
   /// The flat CSR + bitset-matrix view (hypergraph/flat_hypergraph.h),
   /// built eagerly at construction and shared by copies — the engines and
-  /// the batch kernels read it on every hot-path step.
+  /// the batch kernels read it on every hot-path step. It holds the only
+  /// per-vertex incidence (vertex_offsets/vertex_edges, incidence_bits).
   const FlatHypergraph& Flat() const { return *flat_; }
 
  private:
@@ -84,8 +75,6 @@ class Hypergraph {
   std::vector<std::string> edge_names_;
   std::vector<VertexSet> edges_;
   std::unordered_map<std::string, int> vertex_ids_;
-  std::vector<std::vector<int>> incidence_;
-  std::vector<VertexSet> incident_edges_;  // per vertex, universe num_edges
   // shared_ptr, not value: copies of an immutable Hypergraph share one flat
   // view instead of rebuilding the matrices.
   std::shared_ptr<const FlatHypergraph> flat_;

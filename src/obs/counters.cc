@@ -37,7 +37,6 @@ const char* const kCounterNames[kNumCounters] = {
     "closure_interner_hits",
     "lp_pivots",
     "csp_nodes",
-    "csp_joins",
     "governor_ticks",
     "governor_stops",
     "pool_submits",
@@ -77,7 +76,6 @@ const char* const kCounterNames[kNumCounters] = {
 
 const char* const kGaugeNames[kNumGauges] = {
     "peak_bytes_charged",
-    "max_relation_size",
     "max_guard_family",
     "pool_queue_depth",
     "cache_bytes",
@@ -85,7 +83,6 @@ const char* const kGaugeNames[kNumGauges] = {
 
 const char* const kHistoNames[kNumHistos] = {
     "cover_size",
-    "join_size",
     "interned_set_words",
     "lambda_candidates",
     "closure_frontier_size",

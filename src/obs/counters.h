@@ -57,9 +57,8 @@ enum class Counter : int {
   kClosureInternerHits, // closure candidates deduplicated via the interner
   // LP simplex (lp/simplex).
   kLpPivots,
-  // CSP solvers (csp/backtracking, csp/bucket_solver).
+  // CSP solvers (csp/backtracking).
   kCspNodes,            // backtracking nodes
-  kCspJoins,            // bucket-elimination joins materialized
   // Resource governor (util/resource_governor).
   kGovernorTicks,       // Budget::Tick calls across every engine
   kGovernorStops,       // budgets that hit a wall (first stop per budget)
@@ -116,7 +115,6 @@ enum class Counter : int {
 /// Max-aggregated gauges (peaks), reset together with the counters.
 enum class Gauge : int {
   kPeakBytesCharged = 0,  // high-water of Budget::Charge accounting
-  kMaxRelationSize,       // largest intermediate join relation (tuples)
   kMaxGuardFamily,        // largest guard family handed to the decider
   kPoolQueueDepth,        // peak queued (submitted, not yet popped) pool tasks
   kCacheBytes,            // peak resident bytes of the decomposition cache
@@ -127,7 +125,6 @@ enum class Gauge : int {
 /// v <= 0 in bucket 0. 32 buckets cover the full long range.
 enum class Histo : int {
   kCoverSize = 0,       // exact set-cover sizes computed for bags
-  kJoinSize,            // tuples per materialized bucket-elimination join
   kInternedSetWords,    // 64-bit words per newly interned canonical set
   kLambdaCandidates,    // cover-candidate list lengths built per state
   kClosureFrontierSize, // frontier sizes per round of demand-driven closures

@@ -1,9 +1,11 @@
 #include <optional>
+#include <vector>
 
 #include "core/ghw_upper.h"
 #include "csp/backtracking.h"
 #include "csp/csp.h"
 #include "csp/join_tree.h"
+#include "csp/problems.h"
 #include "csp/relation.h"
 #include "csp/yannakakis.h"
 #include "gen/generators.h"
@@ -245,6 +247,48 @@ TEST(RandomCspTest, ConstraintsNeverEmpty) {
   Hypergraph h = RandomUniformHypergraph(9, 7, 3, 2);
   Csp csp = MakeRandomCsp(h, 2, 0.0, 5);
   for (const Relation& r : csp.constraints) EXPECT_GE(r.size(), 1);
+}
+
+// The satisfiability oracle for the problem generators: Yannakakis over a
+// min-fill decomposition of the constraint hypergraph.
+std::optional<std::vector<int>> SolveByDecomposition(const Csp& csp) {
+  return SolveViaDecomposition(csp, DecomposeConstraintGraph(csp));
+}
+
+TEST(ProblemsTest, NQueensKnownSatisfiability) {
+  // n = 1 trivially SAT; n = 2, 3 UNSAT; n = 4, 5, 6 SAT.
+  EXPECT_TRUE(SolveByDecomposition(NQueensCsp(1)).has_value());
+  EXPECT_FALSE(SolveByDecomposition(NQueensCsp(2)).has_value());
+  EXPECT_FALSE(SolveByDecomposition(NQueensCsp(3)).has_value());
+  for (int n = 4; n <= 6; ++n) {
+    Csp csp = NQueensCsp(n);
+    auto solution = SolveByDecomposition(csp);
+    ASSERT_TRUE(solution.has_value()) << n;
+    EXPECT_TRUE(csp.IsSolution(*solution)) << n;
+  }
+}
+
+TEST(ProblemsTest, NQueensAgreesWithBacktracking) {
+  for (int n = 4; n <= 6; ++n) {
+    BacktrackingResult bt = SolveBacktracking(NQueensCsp(n));
+    ASSERT_TRUE(bt.decided);
+    EXPECT_TRUE(bt.solution.has_value()) << n;
+  }
+}
+
+TEST(ProblemsTest, PigeonholeSatisfiability) {
+  EXPECT_TRUE(SolveByDecomposition(PigeonholeCsp(3, 3)).has_value());
+  EXPECT_TRUE(SolveByDecomposition(PigeonholeCsp(3, 5)).has_value());
+  EXPECT_FALSE(SolveByDecomposition(PigeonholeCsp(4, 3)).has_value());
+  EXPECT_FALSE(SolveByDecomposition(PigeonholeCsp(5, 4)).has_value());
+}
+
+TEST(ProblemsTest, PigeonholeShape) {
+  Csp csp = PigeonholeCsp(4, 3);
+  EXPECT_EQ(csp.num_variables(), 4);
+  EXPECT_EQ(csp.constraints.size(), 6u);  // all pairs
+  Hypergraph h = csp.ConstraintHypergraph();
+  EXPECT_EQ(h.num_edges(), 6);
 }
 
 }  // namespace

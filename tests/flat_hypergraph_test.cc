@@ -44,13 +44,24 @@ VertexSet RandomSet(int universe, double density, std::mt19937_64* rng) {
   return s;
 }
 
+// Reference per-vertex incidence, built from the per-edge vertex sets: the
+// ids of the edges containing each vertex, ascending.
+std::vector<std::vector<int>> ReferenceIncidence(const Hypergraph& h) {
+  std::vector<std::vector<int>> incidence(h.num_vertices());
+  for (int e = 0; e < h.num_edges(); ++e) {
+    h.edge(e).ForEach([&](int v) { incidence[v].push_back(e); });
+  }
+  return incidence;
+}
+
 // Scalar reference for FlatSplitComponents: the pointer-chasing BFS the
-// k-decider ran before the CSR port, verbatim (seed = unseen.First(), edges
-// adjacent when they share a vertex outside chi, an edge inside chi stays a
-// singleton).
+// k-decider ran before the CSR port (seed = unseen.First(), edges adjacent
+// when they share a vertex outside chi, an edge inside chi stays a
+// singleton), over incidence lists rebuilt from the per-edge vertex sets.
 std::vector<VertexSet> ReferenceSplit(const Hypergraph& h,
                                       const VertexSet& edges_left,
                                       const VertexSet& chi) {
+  const std::vector<std::vector<int>> incidence = ReferenceIncidence(h);
   VertexSet unseen = edges_left;
   std::vector<VertexSet> parts;
   while (unseen.Any()) {
@@ -64,7 +75,7 @@ std::vector<VertexSet> ReferenceSplit(const Hypergraph& h,
       stack.pop_back();
       h.edge(e).ForEach([&](int v) {
         if (chi.Test(v)) return;
-        for (int f : h.EdgesContaining(v)) {
+        for (int f : incidence[v]) {
           if (unseen.Test(f)) {
             unseen.Reset(f);
             part.Set(f);
@@ -97,14 +108,17 @@ TEST(FlatHypergraphTest, CsrMirrorsTheHypergraph) {
       EXPECT_EQ(got, want) << "edge " << e << " universe " << n;
       EXPECT_EQ(flat.edge_bits().RowAsVertexSet(e), h.edge(e));
     }
+    const std::vector<std::vector<int>> incidence = ReferenceIncidence(h);
     for (int v = 0; v < h.num_vertices(); ++v) {
-      const std::vector<int>& want = h.EdgesContaining(v);
+      const std::vector<int>& want = incidence[v];
       const std::vector<int32_t> got(
           flat.vertex_edges().begin() + flat.vertex_offsets()[v],
           flat.vertex_edges().begin() + flat.vertex_offsets()[v + 1]);
       ASSERT_EQ(got.size(), want.size());
       for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
-      EXPECT_EQ(flat.incidence_bits().RowAsVertexSet(v), h.IncidentEdges(v));
+      VertexSet want_bits(h.num_edges());
+      for (int e : want) want_bits.Set(e);
+      EXPECT_EQ(flat.incidence_bits().RowAsVertexSet(v), want_bits);
     }
   }
 }

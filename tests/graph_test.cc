@@ -1,7 +1,6 @@
 #include <vector>
 
 #include "gen/generators.h"
-#include "graph/dimacs.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
 
@@ -156,42 +155,6 @@ TEST(GraphTest, HypercubeShape) {
   EXPECT_EQ(h.num_vertices(), 8);
   EXPECT_EQ(h.NumEdges(), 12);
   for (int v = 0; v < 8; ++v) EXPECT_EQ(h.Degree(v), 3);
-}
-
-TEST(DimacsTest, ParsesValidFile) {
-  const std::string content =
-      "c a comment\n"
-      "p edge 4 3\n"
-      "e 1 2\n"
-      "e 2 3\n"
-      "e 3 4\n";
-  Result<Graph> r = ParseDimacsGraph(content);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().num_vertices(), 4);
-  EXPECT_EQ(r.value().NumEdges(), 3);
-  EXPECT_TRUE(r.value().HasEdge(0, 1));
-}
-
-TEST(DimacsTest, RejectsMissingProblemLine) {
-  EXPECT_FALSE(ParseDimacsGraph("e 1 2\n").ok());
-}
-
-TEST(DimacsTest, RejectsOutOfRangeVertex) {
-  EXPECT_FALSE(ParseDimacsGraph("p edge 2 1\ne 1 5\n").ok());
-}
-
-TEST(DimacsTest, RejectsUnknownDirective) {
-  EXPECT_FALSE(ParseDimacsGraph("p edge 2 1\nq 1 2\n").ok());
-}
-
-TEST(DimacsTest, RejectsDuplicateProblemLine) {
-  EXPECT_FALSE(ParseDimacsGraph("p edge 2 1\np edge 2 1\n").ok());
-}
-
-TEST(DimacsTest, MissingFileIsNotFound) {
-  Result<Graph> r = LoadDimacsGraph("/nonexistent/file.col");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "gen/generators.h"
 #include "gtest/gtest.h"
 #include "hypergraph/components.h"
+#include "hypergraph/flat_hypergraph.h"
 #include "hypergraph/hg_io.h"
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/hypergraph_builder.h"
@@ -48,12 +49,34 @@ TEST(HypergraphTest, BasicAccessors) {
   EXPECT_EQ(h.VertexIdOf("nope"), -1);
 }
 
+// The edges containing vertex v, read from the flat vertex CSR.
+std::vector<int> FlatIncidence(const Hypergraph& h, int v) {
+  const FlatHypergraph& flat = h.Flat();
+  return std::vector<int>(
+      flat.vertex_edges().begin() + flat.vertex_offsets()[v],
+      flat.vertex_edges().begin() + flat.vertex_offsets()[v + 1]);
+}
+
 TEST(HypergraphTest, IncidenceLists) {
   Hypergraph h = SmallExample();
   const int x1 = h.VertexIdOf("x1");
-  EXPECT_EQ(h.EdgesContaining(x1), (std::vector<int>{0, 1}));
+  EXPECT_EQ(FlatIncidence(h, x1), (std::vector<int>{0, 1}));
   const int x4 = h.VertexIdOf("x4");
-  EXPECT_EQ(h.EdgesContaining(x4), (std::vector<int>{2}));
+  EXPECT_EQ(FlatIncidence(h, x4), (std::vector<int>{2}));
+  // Every vertex's CSR list and incidence_bits row match a reference built
+  // from the per-edge vertex sets.
+  for (int v = 0; v < h.num_vertices(); ++v) {
+    std::vector<int> want;
+    VertexSet want_bits(h.num_edges());
+    for (int e = 0; e < h.num_edges(); ++e) {
+      if (h.edge(e).Test(v)) {
+        want.push_back(e);
+        want_bits.Set(e);
+      }
+    }
+    EXPECT_EQ(FlatIncidence(h, v), want) << "vertex " << v;
+    EXPECT_EQ(h.Flat().incidence_bits().RowAsVertexSet(v), want_bits);
+  }
 }
 
 TEST(HypergraphTest, UnionOfEdges) {

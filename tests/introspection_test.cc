@@ -1,9 +1,10 @@
-// Live-introspection tests: metrics-sampler delta correctness against a
+// Live-introspection tests: sampler delta correctness against a
 // deterministic counter script, bounded-ring honesty, progress-board
 // publish/snapshot/reset semantics, heartbeat stream contract on a real
-// deadline-truncated anytime run (and under fault injection), attribution
-// tree accounting, and a concurrent publish/sample sweep that the TSan CI
-// job runs to prove the whole surface is race-free.
+// deadline-truncated anytime run (and under fault injection), one sampler
+// thread for both sinks, attribution tree accounting, and a concurrent
+// publish/sample sweep that the TSan CI job runs to prove the whole surface
+// is race-free.
 #include "gtest/gtest.h"
 #include "obs/obs.h"
 
@@ -11,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,8 +21,7 @@
 #include "core/anytime.h"
 #include "gen/generators.h"
 #include "hypergraph/hg_io.h"
-#include "obs/heartbeat.h"
-#include "obs/metrics_sampler.h"
+#include "obs/sampler.h"
 #include "util/resource_governor.h"
 
 namespace ghd {
@@ -58,7 +59,7 @@ std::vector<std::string> SplitLines(const std::string& text) {
 }
 
 TEST_F(IntrospectionTest, SamplerDeltasFollowTheCounterScript) {
-  obs::MetricsSampler sampler;  // never Start()ed: SampleNow drives it
+  obs::Sampler sampler;  // never Start()ed: SampleNow drives it
   sampler.SampleNow();          // frame 0: baseline (all deltas zero)
   GHD_COUNT_N(kDeciderMemoInserts, 7);
   GHD_COUNT_N(kKernelBatches, 3);
@@ -89,16 +90,15 @@ TEST_F(IntrospectionTest, SamplerDeltasFollowTheCounterScript) {
 }
 
 TEST_F(IntrospectionTest, SamplerRingIsBoundedAndCountsDrops) {
-  obs::MetricsSampler::Options options;
-  options.ring_capacity = 4;
-  obs::MetricsSampler sampler(options);
-  for (int i = 0; i < 10; ++i) {
+  obs::Sampler sampler;
+  constexpr size_t kTicks = obs::Sampler::kRingCapacity + 6;  // 262
+  for (size_t i = 0; i < kTicks; ++i) {
     GHD_COUNT(kBnbNodes);
     sampler.SampleNow();
   }
   const std::vector<obs::MetricsSample> samples = sampler.Samples();
-  ASSERT_EQ(samples.size(), 4u);
-  EXPECT_EQ(sampler.samples_taken(), 10u);
+  ASSERT_EQ(samples.size(), obs::Sampler::kRingCapacity);
+  EXPECT_EQ(sampler.samples_taken(), kTicks);
   EXPECT_EQ(sampler.samples_dropped(), 6u);
   // Oldest-first order survives the wraparound: each retained frame carries
   // exactly the one increment between consecutive samples, and timestamps
@@ -155,17 +155,17 @@ TEST_F(IntrospectionTest, HeartbeatStreamsSchemaLinesOnDeadlineRun) {
 
   Budget budget(/*deadline_seconds=*/0.1);
   std::ostringstream out;
-  obs::Heartbeat::Options options;
+  obs::Sampler::Options options;
   options.interval_ms = 20;
-  options.out = &out;
+  options.heartbeat_out = &out;
   options.budget = &budget;
-  obs::Heartbeat heartbeat(options);
-  heartbeat.Start();
+  obs::Sampler sampler(options);
+  sampler.Start();
 
   AnytimeOptions anytime;
   anytime.budget = &budget;
   const AnytimeGhwResult r = AnytimeGhw(h.value(), anytime);
-  heartbeat.Stop();
+  sampler.Stop();
 
   // grid7x7 is deliberately too hard for 100ms: the run must truncate.
   EXPECT_TRUE(budget.Stopped());
@@ -174,7 +174,7 @@ TEST_F(IntrospectionTest, HeartbeatStreamsSchemaLinesOnDeadlineRun) {
 
   const std::vector<std::string> lines = SplitLines(out.str());
   ASSERT_GE(lines.size(), 3u);
-  EXPECT_EQ(lines.size(), heartbeat.lines_emitted());
+  EXPECT_EQ(lines.size(), sampler.lines_emitted());
   for (size_t i = 0; i < lines.size(); ++i) {
     const std::string& line = lines[i];
     // Stable schema prefix with sequential seq numbers.
@@ -216,17 +216,17 @@ TEST_F(IntrospectionTest, HeartbeatFinalLineSurvivesInjectedFault) {
   Budget budget;
   budget.InjectFailureAfter(5);
   std::ostringstream out;
-  obs::Heartbeat::Options options;
+  obs::Sampler::Options options;
   options.interval_ms = 50;
-  options.out = &out;
+  options.heartbeat_out = &out;
   options.budget = &budget;
-  obs::Heartbeat heartbeat(options);
-  heartbeat.Start();
+  obs::Sampler sampler(options);
+  sampler.Start();
 
   AnytimeOptions anytime;
   anytime.budget = &budget;
   AnytimeGhw(Grid2dHypergraph(3, 3), anytime);
-  heartbeat.Stop();
+  sampler.Stop();
 
   EXPECT_TRUE(budget.Stopped());
   const std::vector<std::string> lines = SplitLines(out.str());
@@ -237,6 +237,38 @@ TEST_F(IntrospectionTest, HeartbeatFinalLineSurvivesInjectedFault) {
             std::string::npos)
       << lines.back();
 }
+
+#if defined(__linux__)
+// Threads in this process, counted from /proc/self/task.
+int CountThreads() {
+  int n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(IntrospectionTest, BothSinksShareOneThread) {
+  const int before = CountThreads();
+  std::ostringstream out;
+  obs::Sampler::Options options;
+  options.interval_ms = 1;
+  options.heartbeat_out = &out;
+  obs::Sampler sampler(options);
+  sampler.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(CountThreads(), before + 1);
+  sampler.Stop();
+  EXPECT_EQ(CountThreads(), before);
+  // Both sinks were fed by that one thread: every tick is one ring frame
+  // and one heartbeat line.
+  EXPECT_GE(sampler.samples_taken(), 2u);
+  EXPECT_EQ(sampler.lines_emitted(), sampler.samples_taken());
+  EXPECT_EQ(SplitLines(out.str()).size(), sampler.lines_emitted());
+}
+#endif  // __linux__
 
 TEST_F(IntrospectionTest, AttributionTreeAccountsItsChildren) {
   obs::EnableAttribution(true);
@@ -298,24 +330,19 @@ TEST_F(IntrospectionTest, AttributionTreeAccountsItsChildren) {
 }
 
 // The TSan job runs this: writers hammer counters and board slots while the
-// sampler thread, a heartbeat thread, and a snapshot reader all pull
+// sampler thread (feeding both sinks) and a snapshot reader pull
 // concurrently. Correctness here is "no data races and no lost counts".
 TEST_F(IntrospectionTest, ConcurrentPublishAndSampleSweep) {
   constexpr int kWriters = 4;
   constexpr int kIterations = 20000;
 
   obs::EnableBoard(true);
-  obs::MetricsSampler::Options sampler_options;
-  sampler_options.interval_ms = 1;
-  obs::MetricsSampler sampler(sampler_options);
-  sampler.Start();
-
   std::ostringstream hb_out;
-  obs::Heartbeat::Options hb_options;
-  hb_options.interval_ms = 1;
-  hb_options.out = &hb_out;
-  obs::Heartbeat heartbeat(hb_options);
-  heartbeat.Start();
+  obs::Sampler::Options sampler_options;
+  sampler_options.interval_ms = 1;
+  sampler_options.heartbeat_out = &hb_out;
+  obs::Sampler sampler(sampler_options);
+  sampler.Start();
 
   std::atomic<int> done{0};
   std::vector<std::thread> writers;
@@ -337,14 +364,13 @@ TEST_F(IntrospectionTest, ConcurrentPublishAndSampleSweep) {
     obs::SnapshotCounters();
   }
   for (std::thread& t : writers) t.join();
-  heartbeat.Stop();
   sampler.Stop();
 
   // No lost counts: the final snapshot sums every writer's work.
   EXPECT_EQ(obs::SnapshotCounters().counter(obs::Counter::kBnbNodes),
             static_cast<long>(kWriters) * kIterations);
   EXPECT_GE(sampler.samples_taken(), 1u);
-  EXPECT_GE(heartbeat.lines_emitted(), 2u);
+  EXPECT_GE(sampler.lines_emitted(), 2u);
   const obs::BoardSnapshot final_snap = obs::SnapshotBoard();
   EXPECT_EQ(final_snap.slot(obs::BoardSlot::kFrontierDepth), kIterations - 1);
 }

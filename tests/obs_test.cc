@@ -88,8 +88,8 @@ TEST_F(ObsTest, GaugeKeepsTheMaximum) {
 
 TEST_F(ObsTest, ResetClearsEverything) {
   GHD_COUNT(kLpPivots);
-  GHD_GAUGE_MAX(kMaxRelationSize, 5);
-  GHD_HISTO(kJoinSize, 9);
+  GHD_GAUGE_MAX(kPoolQueueDepth, 5);
+  GHD_HISTO(kLambdaCandidates, 9);
   EXPECT_TRUE(obs::SnapshotCounters().AnyNonZero());
   obs::ResetCounters();
   EXPECT_FALSE(obs::SnapshotCounters().AnyNonZero());

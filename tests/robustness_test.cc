@@ -9,7 +9,6 @@
 
 #include "csp/relation.h"
 #include "gen/random_hypergraphs.h"
-#include "graph/dimacs.h"
 #include "gtest/gtest.h"
 #include "hypergraph/hg_io.h"
 #include "util/bitset.h"
@@ -43,16 +42,6 @@ TEST(ParserRobustnessTest, HgRandomMutationsNeverCrash) {
     Result<Hypergraph> r = ParseHg(mutated);  // must not crash
     if (r.ok()) {
       EXPECT_GE(r.value().num_edges(), 1);
-    }
-  }
-}
-
-TEST(ParserRobustnessTest, DimacsTruncationsNeverCrash) {
-  const std::string valid = "c header\np edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n";
-  for (size_t cut = 0; cut <= valid.size(); ++cut) {
-    Result<Graph> r = ParseDimacsGraph(valid.substr(0, cut));
-    if (r.ok()) {
-      EXPECT_EQ(r.value().num_vertices(), 5);
     }
   }
 }

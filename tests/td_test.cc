@@ -9,6 +9,7 @@
 #include "td/exact_treewidth.h"
 #include "td/lower_bounds.h"
 #include "td/ordering_heuristics.h"
+#include "td/pace_io.h"
 #include "td/tree_decomposition.h"
 
 namespace ghd {
@@ -308,6 +309,50 @@ TEST(ExactTreewidthTest, DisconnectedGraph) {
   ExactTreewidthResult r = ExactTreewidth(g);
   ASSERT_TRUE(r.exact);
   EXPECT_EQ(r.upper_bound, 3);
+}
+
+TEST(PaceIoTest, GraphRoundtrip) {
+  Graph g = GridGraph(3, 3);
+  Result<Graph> parsed = ParsePaceGraph(WritePaceGraph(g));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().num_vertices(), 9);
+  EXPECT_EQ(parsed.value().NumEdges(), g.NumEdges());
+  for (int u = 0; u < 9; ++u) {
+    for (int v = u + 1; v < 9; ++v) {
+      EXPECT_EQ(parsed.value().HasEdge(u, v), g.HasEdge(u, v));
+    }
+  }
+}
+
+TEST(PaceIoTest, GraphParserRejectsBadInput) {
+  EXPECT_FALSE(ParsePaceGraph("").ok());
+  EXPECT_FALSE(ParsePaceGraph("1 2\n").ok());
+  EXPECT_FALSE(ParsePaceGraph("p tw 2 1\n1 5\n").ok());
+  EXPECT_FALSE(ParsePaceGraph("p td 2 1\n").ok());
+}
+
+TEST(PaceIoTest, TreeDecompositionRoundtrip) {
+  Graph g = CycleGraph(6);
+  TreeDecomposition td = TdFromOrdering(g, MinFillOrdering(g));
+  const std::string text = WritePaceTreeDecomposition(td, g.num_vertices());
+  Result<TreeDecomposition> parsed = ParsePaceTreeDecomposition(text);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().num_nodes(), td.num_nodes());
+  EXPECT_EQ(parsed.value().Width(), td.Width());
+  EXPECT_TRUE(parsed.value().ValidateForGraph(g).ok());
+}
+
+TEST(PaceIoTest, TdParserRejectsBadInput) {
+  EXPECT_FALSE(ParsePaceTreeDecomposition("b 1 2\n").ok());
+  EXPECT_FALSE(ParsePaceTreeDecomposition("s td 1 1 2\nb 5 1\n").ok());
+  EXPECT_FALSE(ParsePaceTreeDecomposition("s td 2 1 2\n9 1\n").ok());
+}
+
+TEST(PaceIoTest, HeaderContainsWidthPlusOne) {
+  TreeDecomposition td;
+  td.bags = {VertexSet::Of(3, {0, 1, 2})};
+  const std::string text = WritePaceTreeDecomposition(td, 3);
+  EXPECT_NE(text.find("s td 1 3 3"), std::string::npos);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 //   ghd_cli bounds    <file.hg>          fast ghw lower/upper bounds
 //   ghd_cli ghw       <file.hg> [secs]   exact GHW (budgeted)
 //   ghd_cli anytime   <file.hg>          degradation-ladder interval for ghw
-//   ghd_cli hw        <file.hg> [states] exact hypertree width (budgeted)
+//   ghd_cli hw        <file.hg> [states] exact hypertree width (budgeted);
+//                                        the witness is checked as a
+//                                        hypertree decomposition (special
+//                                        condition included) before printing
 //   ghd_cli bip       <file.hg> [k]      ghw <= k over the BIP subedge
 //                                        closure (polynomial on bounded-
 //                                        intersection classes; default k=2)
@@ -66,11 +69,12 @@
 //                    milliseconds (phase, rung, certified [lb,ub], frontier
 //                    depth, memo/interner occupancy, rates, budget
 //                    fractions); the final line carries the stop_reason.
-//                    GHD_HEARTBEAT_MS in the environment sets a default.
 //                    Pipe into tools/obs_top.py for a live dashboard.
 //   --metrics-out=F  write the background sampler's ring of timestamped
-//                    counter deltas (rate-of-change time-series) as JSON
-//   --metrics-interval-ms=N  sampler cadence (default 100)
+//                    counter deltas (rate-of-change time-series) as JSON.
+//                    One sampler thread feeds both outputs, ticking every
+//                    --heartbeat-ms milliseconds when that flag is set, else
+//                    every 100 ms.
 //   --verbose        echo the full resolved configuration to stderr
 //
 // The observability flags need a build with GHD_OBS=ON (the default); a
@@ -101,6 +105,7 @@
 #include "core/fractional.h"
 #include "core/ghw_upper.h"
 #include "htd/det_k_decomp.h"
+#include "htd/hypertree_decomposition.h"
 #include "hypergraph/acyclicity.h"
 #include "hypergraph/components.h"
 #include "hypergraph/dot_export.h"
@@ -116,9 +121,8 @@
 #include "util/thread_pool.h"
 
 #if GHD_OBS_ENABLED
-#include "obs/heartbeat.h"
-#include "obs/metrics_sampler.h"
 #include "obs/run_report.h"
+#include "obs/sampler.h"
 #endif
 
 #include <optional>
@@ -145,8 +149,7 @@ int Usage() {
          "[--timeout-ms N] [--memory-mb N] [--seed N] [--no-simd]\n"
          "               "
          "[--counters] [--trace-out=FILE] [--report-out=FILE] [--verbose]\n"
-         "               [--heartbeat-ms N] [--metrics-out=FILE] "
-         "[--metrics-interval-ms N]\n"
+         "               [--heartbeat-ms N] [--metrics-out=FILE]\n"
          "       ghd_cli <decide-many|anytime-many> <manifest> [k]\n"
          "               [--cache-file=FILE] [--cache-mb N] [--no-cache] "
          "[--out=FILE]\n"
@@ -484,7 +487,6 @@ int main(int argc, char** argv) {
   long memory_mb = 0;
   long seed = 1;
   long heartbeat_ms = 0;
-  long metrics_interval_ms = 100;
   long cache_mb = 64;
   bool want_counters = false;
   bool verbose = false;
@@ -494,12 +496,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string cache_file;
   std::string out_file;
-  // GHD_HEARTBEAT_MS seeds the default so wrappers can turn heartbeats on
-  // without touching the command line; the flag still overrides.
-  if (const char* env = std::getenv("GHD_HEARTBEAT_MS")) {
-    const long v = std::atol(env);
-    if (v > 0) heartbeat_ms = v;
-  }
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -536,10 +532,9 @@ int main(int argc, char** argv) {
                long_flag("--memory-mb", &memory_mb) ||
                long_flag("--seed", &seed) ||
                long_flag("--heartbeat-ms", &heartbeat_ms) ||
-               long_flag("--metrics-interval-ms", &metrics_interval_ms) ||
                long_flag("--cache-mb", &cache_mb)) {
       if (timeout_ms < 0 || memory_mb < 0 || heartbeat_ms < 0 ||
-          metrics_interval_ms < 1 || cache_mb < 1) {
+          cache_mb < 1) {
         return Usage();
       }
     } else if (string_flag("--trace-out", &trace_out) ||
@@ -566,7 +561,7 @@ int main(int argc, char** argv) {
   const std::string command = args[0];
 
 #if GHD_OBS_ENABLED
-  // Heartbeat rates, sampler deltas, and attribution deltas all derive from
+  // Heartbeat rates, metrics deltas, and attribution deltas all derive from
   // the counter snapshots, so any live surface arms the counters too.
   if (want_counters || !report_out.empty() || heartbeat_ms > 0 ||
       !metrics_out.empty()) {
@@ -626,23 +621,19 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSigint);
 
 #if GHD_OBS_ENABLED
-  // Live surfaces start before the dispatch so even instant runs emit a
-  // seq-0 heartbeat, and stop right after it so the final heartbeat line and
-  // the sampler's last frame reflect the finished (or truncated) run.
-  std::optional<obs::MetricsSampler> sampler;
-  if (!metrics_out.empty()) {
-    obs::MetricsSampler::Options sampler_options;
-    sampler_options.interval_ms = static_cast<int>(metrics_interval_ms);
+  // The sampler starts before the dispatch so even instant runs emit a
+  // seq-0 heartbeat, and stops right after it so the final heartbeat line and
+  // the last metrics frame reflect the finished (or truncated) run.
+  std::optional<obs::Sampler> sampler;
+  if (heartbeat_ms > 0 || !metrics_out.empty()) {
+    obs::Sampler::Options sampler_options;
+    if (heartbeat_ms > 0) {
+      sampler_options.interval_ms = static_cast<int>(heartbeat_ms);
+      sampler_options.heartbeat_out = &std::cerr;
+    }
+    sampler_options.budget = &governor;
     sampler.emplace(sampler_options);
     sampler->Start();
-  }
-  std::optional<obs::Heartbeat> heartbeat;
-  if (heartbeat_ms > 0) {
-    obs::Heartbeat::Options heartbeat_options;
-    heartbeat_options.interval_ms = static_cast<int>(heartbeat_ms);
-    heartbeat_options.budget = &governor;
-    heartbeat.emplace(heartbeat_options);
-    heartbeat->Start();
   }
 #endif
 
@@ -718,6 +709,17 @@ int main(int argc, char** argv) {
       options.num_threads = num_threads;
       HypertreeWidthResult r = HypertreeWidth(h, 0, options);
       if (r.exact) {
+        // Every witness is re-validated, including the special condition
+        // that separates hw from ghw. An edgeless instance has none.
+        if (h.num_edges() > 0) {
+          const Status valid =
+              ValidateHypertreeDecomposition(h, r.decomposition);
+          if (!valid.ok()) {
+            std::cerr << "error: hw witness rejected: " << valid.ToString()
+                      << "\n";
+            return kExitError;
+          }
+        }
         run.lower_bound = run.upper_bound = r.width;
         std::cout << "hw = " << r.width << "\n";
         return kExitDecided;
@@ -862,12 +864,11 @@ int main(int argc, char** argv) {
   }
 
 #if GHD_OBS_ENABLED
-  // Flush the live surfaces first: Stop() emits the stop_reason-bearing
-  // final heartbeat line (the exit-3 honesty contract) and takes the
-  // sampler's last frame before any report is assembled.
-  if (heartbeat.has_value()) heartbeat->Stop();
-  if (sampler.has_value()) {
-    sampler->Stop();
+  // Flush the sampler first: Stop() emits the stop_reason-bearing final
+  // heartbeat line (the exit-3 honesty contract) and takes the last metrics
+  // frame before any report is assembled.
+  if (sampler.has_value()) sampler->Stop();
+  if (!metrics_out.empty()) {
     std::ofstream out(metrics_out);
     if (!out) {
       std::cerr << "error: cannot write metrics to " << metrics_out << "\n";

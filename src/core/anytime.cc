@@ -50,6 +50,18 @@ void Improve(AnytimeGhwResult* result, const Hypergraph& h,
   result->witness = std::move(ghd);
 }
 
+// Once a heuristic rung meets the lower bound, no later rung can tighten the
+// interval or replace the witness (Improve only accepts a strictly smaller
+// width), so the ladder stops there and the trail ends with this marker.
+bool ClosedByHeuristics(AnytimeGhwResult* result, const Budget& root) {
+  if (result->lower_bound < result->upper_bound) return false;
+  result->lower_bound = result->upper_bound;
+  result->exact = true;
+  result->outcome = root.MakeOutcome();
+  Record(result, "closed-by-heuristics", root);
+  return true;
+}
+
 }  // namespace
 
 AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) {
@@ -96,6 +108,7 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
     Record(&result, "greedy-cover", *root);
     span.SetArg("ub", result.upper_bound);
   }
+  if (ClosedByHeuristics(&result, *root)) return result;
 
   // Rung 3 (tick-free): randomized multi-restart with exact per-bag covers.
   if (options.heuristic_restarts > 0) {
@@ -108,14 +121,7 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
     Record(&result, "multi-restart", *root);
     span.SetArg("ub", result.upper_bound);
   }
-
-  if (result.lower_bound >= result.upper_bound) {
-    result.lower_bound = result.upper_bound;
-    result.exact = true;
-    result.outcome = root->MakeOutcome();
-    Record(&result, "closed-by-heuristics", *root);
-    return result;
-  }
+  if (ClosedByHeuristics(&result, *root)) return result;
 
   // Rung 4: subset DP — an independent exact engine for small instances. It
   // yields the exact width but no witness; the B&B below (seeded with
@@ -139,8 +145,10 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
   // Rung 5: exact branch-and-bound. Under a finite deadline it gets a slice
   // of the remaining time (chained to the root so cancellation and global
   // tick limits still bite), leaving headroom for the det-k fallback; under
-  // pure tick/memory limits the root governor is shared directly.
-  if (!root->Stopped()) {
+  // pure tick/memory limits the root governor is shared directly. When the
+  // subset DP has already met the heuristic upper bound, the witness in hand
+  // is optimal and the ladder ends at the DP rung.
+  if (result.lower_bound < result.upper_bound && !root->Stopped()) {
     GHD_SPAN_VAR(span, "anytime", "rung:exact-bnb");
     GHD_BOARD_RUNG("exact-bnb");
     GHD_ATTR_SCOPE(rung_attr, "exact-bnb");

@@ -9,10 +9,7 @@
 #include "core/ghw_lower.h"
 #include "core/ghw_upper.h"
 #include "hypergraph/components.h"
-#include "hypergraph/flat_hypergraph.h"
-#include "hypergraph/kernels.h"
 #include "obs/obs.h"
-#include "setcover/set_cover.h"
 #include "td/lower_bounds.h"
 #include "util/check.h"
 #include "util/hash_mix.h"
@@ -51,20 +48,8 @@ struct Shared {
 
   int Ub() const { return ub.load(std::memory_order_relaxed); }
 
-  // Candidate edges for covering `target`: only edges meeting it matter, and
-  // the incidence bitsets find them word-parallel instead of scanning all
-  // hyperedges inside the cover solvers.
-  std::vector<VertexSet> CoverCandidates(const VertexSet& target) const {
-    const FlatHypergraph& flat = h->Flat();
-    std::vector<VertexSet> candidates;
-    kernels::FlatEdgesIntersecting(flat, target).ForEach([&](int e) {
-      candidates.push_back(flat.edge_bits().RowAsVertexSet(e));
-    });
-    return candidates;
-  }
-
   // The cover cache never holds truncated values: the cover solver runs
-  // unbudgeted (small exact subproblems), and the GHD_CHECK enforces it.
+  // unbudgeted (small exact subproblems), and CoverBag checks it returned.
   // This is the same cache rule the k-decider follows for its memo — a
   // truncated run must never poison a cache entry (util/resource_governor.h).
   int ExactCoverSize(const VertexSet& bag) {
@@ -77,12 +62,12 @@ struct Shared {
       }
     }
     GHD_COUNT(kCoverCacheMisses);
-    auto size = ExactSetCoverSize(bag, CoverCandidates(bag));
-    GHD_CHECK(size.has_value());
-    GHD_HISTO(kCoverSize, *size);
+    const int size =
+        static_cast<int>(CoverBag(*h, bag, CoverMode::kExact).size());
+    GHD_HISTO(kCoverSize, size);
     budget->Charge(static_cast<size_t>((bag.universe_size() + 63) / 64) * 8 +
                    sizeof(int));
-    return *cover_cache.Insert(id, *size);
+    return *cover_cache.Insert(id, size);
   }
 
   bool Stopped() const { return budget->Stopped(); }
@@ -159,7 +144,7 @@ struct Search {
     }
     remaining &= s->covered;
     const int rest_cost = static_cast<int>(
-        GreedySetCover(remaining, s->CoverCandidates(remaining)).size());
+        CoverBag(*s->h, remaining, CoverMode::kGreedy).size());
     const int finish_now = std::max(width_so_far, rest_cost);
     if (finish_now < s->Ub()) AcceptSolution(finish_now, g);
     if (rest_cost <= width_so_far) {  // Subtree can't beat finish-now.

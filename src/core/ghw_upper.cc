@@ -2,24 +2,49 @@
 
 #include <algorithm>
 
+#include "hypergraph/flat_hypergraph.h"
 #include "setcover/set_cover.h"
 #include "td/bucket_elimination.h"
 #include "util/check.h"
 
 namespace ghd {
-namespace {
 
-std::vector<int> CoverBag(const VertexSet& bag, const Hypergraph& h,
+std::vector<int> CoverBag(const Hypergraph& h, const VertexSet& bag,
                           CoverMode mode) {
-  if (mode == CoverMode::kExact) {
-    auto cover = ExactSetCover(bag, h.edges());
-    GHD_CHECK(cover.has_value());  // Unbudgeted exact cover always returns.
-    return *cover;
+  const FlatHypergraph& flat = h.Flat();
+  const std::vector<int32_t>& voff = flat.vertex_offsets();
+  const std::vector<int32_t>& vedges = flat.vertex_edges();
+  const std::vector<int> members = bag.ToVector();
+  std::vector<int> edges;  // edges meeting the bag, ascending
+  for (int v : members) {
+    edges.insert(edges.end(), vedges.begin() + voff[v],
+                 vedges.begin() + voff[v + 1]);
   }
-  return GreedySetCover(bag, h.edges());
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  // Local set k is edges[k] ∩ bag over the universe {0..|bag|-1}, member i
+  // standing for members[i].
+  const int size = static_cast<int>(members.size());
+  std::vector<VertexSet> sets(edges.size(), VertexSet(size));
+  for (int i = 0; i < size; ++i) {
+    const int v = members[i];
+    for (int j = voff[v]; j < voff[v + 1]; ++j) {
+      const auto k = std::lower_bound(edges.begin(), edges.end(), vedges[j]);
+      sets[k - edges.begin()].Set(i);
+    }
+  }
+  const VertexSet target = VertexSet::Full(size);
+  std::vector<int> cover;
+  if (mode == CoverMode::kExact) {
+    auto exact = ExactSetCover(target, sets);
+    GHD_CHECK(exact.has_value());  // Unbudgeted exact cover always returns.
+    cover = std::move(*exact);
+  } else {
+    cover = GreedySetCover(target, sets);
+  }
+  for (int& k : cover) k = edges[k];
+  return cover;
 }
-
-}  // namespace
 
 GhwUpperBoundResult GhwFromOrdering(const Hypergraph& h,
                                     const std::vector<int>& ordering,
@@ -36,7 +61,7 @@ GhwUpperBoundResult GhwFromOrdering(const Hypergraph& h,
   result.ghd.guards.reserve(td.bags.size());
   for (VertexSet& bag : td.bags) {
     bag &= covered;
-    std::vector<int> lambda = CoverBag(bag, h, mode);
+    std::vector<int> lambda = CoverBag(h, bag, mode);
     result.width = std::max(result.width, static_cast<int>(lambda.size()));
     result.ghd.guards.push_back(std::move(lambda));
     result.ghd.bags.push_back(std::move(bag));
@@ -54,7 +79,7 @@ int GhwWidthFromOrdering(const Hypergraph& h, const std::vector<int>& ordering,
     VertexSet bag = work.Neighbors(v);
     bag.Set(v);
     bag &= covered;
-    const int cost = static_cast<int>(CoverBag(bag, h, mode).size());
+    const int cost = static_cast<int>(CoverBag(h, bag, mode).size());
     width = std::max(width, cost);
     if (stop_at_width >= 0 && width >= stop_at_width) return width;
     work.EliminateVertex(v);

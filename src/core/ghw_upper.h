@@ -28,6 +28,15 @@ struct GhwUpperBoundResult {
   std::vector<int> ordering;
 };
 
+/// A λ-label for `bag`: ids of hyperedges of h whose union contains it.
+/// Only the edges that meet the bag take part, found through the flat vertex
+/// CSR and restricted to the bag's own vertices. Local ids keep ascending
+/// vertex and edge order and map back to edge ids, so greedy tie-breaks, Rng
+/// draws and exact optima are those of a cover over all of h.edges().
+/// `bag` must be coverable (checked).
+std::vector<int> CoverBag(const Hypergraph& h, const VertexSet& bag,
+                          CoverMode mode);
+
 /// Builds the GHD induced by an elimination ordering of the primal graph:
 /// bags via bucket elimination, guards via set covering of each bag.
 /// The result always validates against h.

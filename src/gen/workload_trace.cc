@@ -1,6 +1,7 @@
 #include "gen/workload_trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -38,6 +39,15 @@ std::vector<std::string> Tokens(const std::string& line) {
   std::string tok;
   while (in >> tok) out.push_back(tok);
   return out;
+}
+
+// Reads all of `tok` as a decimal int: an optional '-', digits, nothing
+// after them, and a value that fits. "2abc" or an overflowing count is then
+// a parse error instead of a misread.
+bool ParseInt(const std::string& tok, int* out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -98,8 +108,7 @@ Result<WorkloadTrace> ParseTrace(const std::string& content) {
   {
     const std::vector<std::string> toks = Tokens(line);
     if (toks.size() == 2 && toks[0] == "k") {
-      trace.default_k = std::atoi(toks[1].c_str());
-      if (trace.default_k < 1) {
+      if (!ParseInt(toks[1], &trace.default_k) || trace.default_k < 1) {
         return Status::ParseError("trace: bad default k: " + toks[1]);
       }
       line = next_meaningful();
@@ -157,8 +166,9 @@ Result<WorkloadTrace> ParseTrace(const std::string& content) {
       TraceEvent ev;
       ev.kind = TraceEvent::Kind::kDecide;
       if (toks.size() == 2) {
-        ev.k = std::atoi(toks[1].c_str());
-        if (ev.k < 1) return Status::ParseError("trace: bad decide k: " + line);
+        if (!ParseInt(toks[1], &ev.k) || ev.k < 1) {
+          return Status::ParseError("trace: bad decide k: " + line);
+        }
       } else if (toks.size() != 1) {
         return Status::ParseError("trace: bad decide line: " + line);
       }
@@ -169,8 +179,10 @@ Result<WorkloadTrace> ParseTrace(const std::string& content) {
       if (toks.size() != 2) {
         return Status::ParseError("trace: bad batch line: " + line);
       }
-      const int count = std::atoi(toks[1].c_str());
-      if (count < 1) return Status::ParseError("trace: bad batch count");
+      int count = 0;
+      if (!ParseInt(toks[1], &count) || count < 1) {
+        return Status::ParseError("trace: bad batch count: " + line);
+      }
       TraceEvent ev;
       ev.kind = TraceEvent::Kind::kDelta;
       for (int j = 0; j < count; ++j) {

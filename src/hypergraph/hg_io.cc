@@ -2,7 +2,10 @@
 
 #include <cctype>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "hypergraph/hypergraph_builder.h"
 #include "util/strings.h"
@@ -28,11 +31,37 @@ bool IsNameChar(char c) {
          c == ':' || c == '.' || c == '[' || c == ']' || c == '\'';
 }
 
+// A name that occurs twice in `names`, or nullptr. Open addressing on the
+// names' hashes costs about one hash and one probe per name; sorting the
+// names would add about a tenth to the parse.
+const std::string_view* FindDuplicate(
+    const std::vector<std::string_view>& names) {
+  size_t mask = 1;
+  while (mask < 2 * names.size()) mask <<= 1;
+  --mask;
+  std::vector<int> slots(mask + 1, -1);  // index into names
+  std::vector<size_t> hashes(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    hashes[i] = std::hash<std::string_view>()(names[i]);
+    for (size_t s = hashes[i] & mask;; s = (s + 1) & mask) {
+      if (slots[s] < 0) {
+        slots[s] = static_cast<int>(i);
+        break;
+      }
+      if (hashes[slots[s]] == hashes[i] && names[slots[s]] == names[i]) {
+        return &names[i];
+      }
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 Result<Hypergraph> ParseHg(const std::string& content) {
   const std::string text = StripComments(content);
   HypergraphBuilder builder;
+  std::vector<std::string_view> edge_names;  // views into `text`
   size_t i = 0;
   const size_t end = text.size();
   auto skip_space = [&] {
@@ -46,11 +75,13 @@ Result<Hypergraph> ParseHg(const std::string& content) {
   while (true) {
     skip_space();
     if (i >= end) break;
+    const size_t name_start = i;
     std::string edge_name = read_name();
     if (edge_name.empty()) {
       return Status::ParseError("expected edge name at offset " +
                                 std::to_string(i));
     }
+    edge_names.emplace_back(text.data() + name_start, edge_name.size());
     skip_space();
     if (i >= end || text[i] != '(') {
       return Status::ParseError("expected '(' after edge '" + edge_name + "'");
@@ -83,6 +114,11 @@ Result<Hypergraph> ParseHg(const std::string& content) {
   }
   if (builder.num_edges() == 0) {
     return Status::ParseError("no hyperedges found");
+  }
+  // Traces and deltas refer to edges by name, so names must be unique.
+  if (const std::string_view* dup = FindDuplicate(edge_names)) {
+    return Status::ParseError("duplicate edge name '" + std::string(*dup) +
+                              "'");
   }
   return std::move(builder).Build();
 }

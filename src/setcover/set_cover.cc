@@ -86,18 +86,37 @@ bool IsSetCover(const VertexSet& target, const std::vector<VertexSet>& sets,
 std::vector<int> GreedySetCover(const VertexSet& target,
                                 const std::vector<VertexSet>& sets,
                                 Rng* rng) {
+  // gain[s] = |sets[s] ∩ uncovered|, kept current instead of recounted:
+  // covering v lowers the gain of exactly the sets holding v, listed per
+  // target vertex in `holders` (CSR, ascending set ids).
+  const int m = static_cast<int>(sets.size());
+  std::vector<int> gain(m);
+  std::vector<int> offsets(target.universe_size() + 1, 0);
+  for (int s = 0; s < m; ++s) {
+    (sets[s] & target).ForEach([&](int v) {
+      ++gain[s];
+      ++offsets[v + 1];
+    });
+  }
+  for (size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
+  std::vector<int> holders(offsets.back());
+  {
+    std::vector<int> fill(offsets.begin(), offsets.end() - 1);
+    for (int s = 0; s < m; ++s) {
+      (sets[s] & target).ForEach([&](int v) { holders[fill[v]++] = s; });
+    }
+  }
   std::vector<int> chosen;
   VertexSet uncovered = target;
   std::vector<int> tied;
   while (!uncovered.Empty()) {
     int best_gain = 0;
     tied.clear();
-    for (int s = 0; s < static_cast<int>(sets.size()); ++s) {
-      const int gain = sets[s].IntersectCount(uncovered);
-      if (gain > best_gain) {
-        best_gain = gain;
+    for (int s = 0; s < m; ++s) {
+      if (gain[s] > best_gain) {
+        best_gain = gain[s];
         tied.assign(1, s);
-      } else if (gain == best_gain && gain > 0 && rng != nullptr) {
+      } else if (gain[s] == best_gain && gain[s] > 0 && rng != nullptr) {
         tied.push_back(s);
       }
     }
@@ -107,6 +126,9 @@ std::vector<int> GreedySetCover(const VertexSet& target,
                                                   static_cast<int>(tied.size()))]
                                             : tied.front();
     chosen.push_back(pick);
+    (sets[pick] & uncovered).ForEach([&](int v) {
+      for (int i = offsets[v]; i < offsets[v + 1]; ++i) --gain[holders[i]];
+    });
     uncovered -= sets[pick];
   }
   return chosen;

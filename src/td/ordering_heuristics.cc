@@ -9,12 +9,18 @@ namespace ghd {
 namespace {
 
 // Repeatedly eliminates the vertex minimizing `score`, with deterministic or
-// randomized tie-breaking.
+// randomized tie-breaking. `score(work, v)` may read only v's neighborhood
+// and the edges among it. Eliminating x changes exactly the neighborhoods of
+// N(x) and the edges among the neighborhoods of N(N(x)), so only those
+// cached scores are recomputed; the pick still scans all vertices by
+// ascending id, so tie lists and Rng draws are those of a full rescoring.
 template <typename ScoreFn>
 std::vector<int> GreedyEliminate(const Graph& g, Rng* rng, ScoreFn score) {
   Graph work = g;
   const int n = g.num_vertices();
   std::vector<char> alive(n, 1);
+  std::vector<long> cached(n);
+  for (int v = 0; v < n; ++v) cached[v] = score(work, v);
   std::vector<int> ordering;
   ordering.reserve(n);
   std::vector<int> tied;
@@ -23,7 +29,7 @@ std::vector<int> GreedyEliminate(const Graph& g, Rng* rng, ScoreFn score) {
     tied.clear();
     for (int v = 0; v < n; ++v) {
       if (!alive[v]) continue;
-      long s = score(work, v);
+      const long s = cached[v];
       if (s < best) {
         best = s;
         tied.assign(1, v);
@@ -36,7 +42,13 @@ std::vector<int> GreedyEliminate(const Graph& g, Rng* rng, ScoreFn score) {
                          : tied.front();
     ordering.push_back(pick);
     alive[pick] = 0;
+    const VertexSet neighbors = work.Neighbors(pick);
     work.EliminateVertex(pick);
+    VertexSet stale = neighbors;
+    neighbors.ForEach([&](int u) { stale |= work.Neighbors(u); });
+    stale.ForEach([&](int u) {
+      if (alive[u]) cached[u] = score(work, u);
+    });
   }
   return ordering;
 }

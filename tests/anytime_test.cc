@@ -9,13 +9,17 @@
 //  * external cancellation (the SIGINT path) stops a running driver.
 #include "core/anytime.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/ghw_exact.h"
+#include "core/ghw_lower.h"
+#include "core/ghw_upper.h"
 #include "core/k_decider.h"
+#include "gen/circuits.h"
 #include "gen/generators.h"
 #include "gtest/gtest.h"
 #include "hypergraph/hg_io.h"
@@ -122,6 +126,62 @@ TEST(AnytimeTest, EmptyHypergraphIsTrivial) {
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.lower_bound, 0);
   EXPECT_EQ(r.upper_bound, 0);
+}
+
+// Once a rung closes the interval the ladder stops. After a heuristic rung
+// the trail holds only the closed-by-heuristics marker; after the subset DP
+// it ends at the DP rung. The interval, exactness and witness are those of a
+// run through every heuristic rung, replayed here from the rungs' own entry
+// points (the default 8 restarts, seed 1).
+TEST(AnytimeTest, ClosedIntervalStopsTheLadder) {
+  const Hypergraph instances[] = {
+      WindowPathHypergraph(41, 2, 1), WindowPathHypergraph(43, 4, 1),
+      TriangleStripHypergraph(12),    BridgeHypergraph(6),
+      Grid2dHypergraph(4, 4),         HypercubeHypergraph(3),
+      Grid2dHypergraph(3, 3),
+  };
+  std::vector<std::string> closers;
+  for (const Hypergraph& h : instances) {
+    const AnytimeGhwResult r = AnytimeGhw(h);
+    ASSERT_TRUE(r.exact);
+
+    const int lb = std::max(1, GhwLowerBound(h));
+    GhwUpperBoundResult every =
+        GhwUpperBound(h, OrderingHeuristic::kMinFill, CoverMode::kGreedy);
+    GhwUpperBoundResult multi =
+        GhwUpperBoundMultiRestart(h, 8, 1, CoverMode::kExact);
+    if (multi.width < every.width) every = std::move(multi);
+
+    size_t close = 0;
+    while (close < r.trail.size() &&
+           r.trail[close].lower_bound < r.trail[close].upper_bound) {
+      ++close;
+    }
+    ASSERT_LT(close, r.trail.size());
+    const std::string closer = r.trail[close].engine;
+    closers.push_back(closer);
+    if (closer == "greedy-cover" || closer == "multi-restart") {
+      ASSERT_EQ(r.trail.size(), close + 2) << closer;
+      EXPECT_EQ(r.trail.back().engine, "closed-by-heuristics");
+      EXPECT_EQ(r.lower_bound, lb);
+    } else if (closer == "subset-dp") {
+      EXPECT_EQ(r.trail.size(), close + 1);
+    } else {
+      EXPECT_LT(lb, every.width);  // the heuristics left a gap
+      continue;
+    }
+    EXPECT_EQ(r.upper_bound, every.width);
+    EXPECT_EQ(r.witness.bags, every.ghd.bags);
+    EXPECT_EQ(r.witness.guards, every.ghd.guards);
+    EXPECT_EQ(r.witness.tree_edges, every.ghd.tree_edges);
+  }
+  // Every way to close is exercised.
+  for (const char* closer :
+       {"greedy-cover", "multi-restart", "subset-dp", "exact-bnb"}) {
+    EXPECT_NE(std::find(closers.begin(), closers.end(), closer),
+              closers.end())
+        << closer;
+  }
 }
 
 TEST(AnytimeTest, ZeroBudgetStillYieldsValidatedInterval) {

@@ -224,6 +224,18 @@ TEST(HgIoTest, RejectsGarbage) {
   EXPECT_FALSE(ParseHg("% only comments\n").ok());
 }
 
+TEST(HgIoTest, RejectsDuplicateEdgeNames) {
+  // Traces and deltas name edges, so a second e3 would be ambiguous.
+  Result<Hypergraph> r = ParseHg("e1(a,b),\ne3(b,c),\ne2(c,d),\ne3(d,a).\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("duplicate edge name 'e3'"),
+            std::string::npos)
+      << r.status().message();
+  // The same vertex set under two names is fine.
+  EXPECT_TRUE(ParseHg("e1(a,b),\ne2(a,b).\n").ok());
+}
+
 TEST(HgIoTest, WriteParseRoundtrip) {
   Hypergraph h = AdderHypergraph(3);
   Result<Hypergraph> r = ParseHg(WriteHg(h));

@@ -1,0 +1,463 @@
+// Differential tests for the pre-passes that run before (or instead of) the
+// exact width engines: the treewidth lower bounds, the GYO reduction, the
+// greedy elimination orderings, the greedy set cover and the per-bag covers.
+// Each is compared with a reference version kept only here, which rescans
+// the whole instance at every step, on random graphs and hypergraphs,
+// including universes on both sides of the 64- and 128-bit word boundaries.
+// The library versions must return the same values, residuals, orderings,
+// covers and decompositions, and draw the same random numbers.
+#include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "core/ghw_upper.h"
+#include "gen/random_hypergraphs.h"
+#include "gtest/gtest.h"
+#include "hypergraph/acyclicity.h"
+#include "setcover/set_cover.h"
+#include "td/bucket_elimination.h"
+#include "td/lower_bounds.h"
+#include "td/ordering_heuristics.h"
+#include "util/rng.h"
+
+namespace ghd {
+namespace {
+
+const int kBoundarySizes[] = {63, 64, 65, 127, 128, 129};
+
+// ---- Reference treewidth lower bounds: popcount every row at every step.
+
+int RefMinDegreeAlive(const Graph& g, const std::vector<char>& alive) {
+  int best = -1;
+  int best_deg = g.num_vertices() + 1;
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    if (!alive[v]) continue;
+    const int d = g.Degree(v);
+    if (d >= 1 && d < best_deg) {
+      best_deg = d;
+      best = v;
+    }
+  }
+  return best;
+}
+
+int RefMinDegreeNeighbor(const Graph& g, int v) {
+  int best = -1;
+  int best_deg = g.num_vertices() + 1;
+  g.Neighbors(v).ForEach([&](int u) {
+    if (g.Degree(u) < best_deg) {
+      best_deg = g.Degree(u);
+      best = u;
+    }
+  });
+  return best;
+}
+
+int RefDegeneracy(const Graph& g) {
+  Graph work = g;
+  std::vector<char> alive(g.num_vertices(), 1);
+  int lb = 0;
+  for (int v; (v = RefMinDegreeAlive(work, alive)) >= 0;) {
+    lb = std::max(lb, work.Degree(v));
+    work.IsolateVertex(v);
+    alive[v] = 0;
+  }
+  return lb;
+}
+
+int RefMinorMinWidth(const Graph& g) {
+  Graph work = g;
+  std::vector<char> alive(g.num_vertices(), 1);
+  int lb = 0;
+  for (int v; (v = RefMinDegreeAlive(work, alive)) >= 0;) {
+    lb = std::max(lb, work.Degree(v));
+    work.ContractEdge(RefMinDegreeNeighbor(work, v), v);
+    alive[v] = 0;
+  }
+  return lb;
+}
+
+int RefGammaR(const Graph& g) {
+  Graph work = g;
+  std::vector<char> alive(g.num_vertices(), 1);
+  int lb = 0;
+  while (true) {
+    std::vector<int> active;
+    for (int v = 0; v < work.num_vertices(); ++v) {
+      if (alive[v] && work.Degree(v) >= 1) active.push_back(v);
+    }
+    if (active.empty()) break;
+    std::stable_sort(active.begin(), active.end(), [&](int a, int b) {
+      return work.Degree(a) < work.Degree(b);
+    });
+    int chosen = -1;
+    for (size_t i = 1; i < active.size() && chosen < 0; ++i) {
+      for (size_t j = 0; j < i; ++j) {
+        if (!work.HasEdge(active[i], active[j])) {
+          chosen = active[i];
+          break;
+        }
+      }
+    }
+    if (chosen < 0) {
+      lb = std::max(lb, static_cast<int>(active.size()) - 1);
+      break;
+    }
+    lb = std::max(lb, work.Degree(chosen));
+    work.ContractEdge(RefMinDegreeNeighbor(work, chosen), chosen);
+    alive[chosen] = 0;
+  }
+  return lb;
+}
+
+// ---- Reference GYO: recount degrees and test every pair each round.
+
+std::vector<VertexSet> RefGyoResidual(const Hypergraph& h) {
+  const int n = h.num_vertices();
+  std::vector<VertexSet> edges = h.edges();
+  std::vector<char> alive(edges.size(), 1);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    std::vector<int> degree(n, 0);
+    for (size_t e = 0; e < edges.size(); ++e) {
+      if (alive[e]) edges[e].ForEach([&](int v) { ++degree[v]; });
+    }
+    for (size_t e = 0; e < edges.size(); ++e) {
+      if (!alive[e]) continue;
+      VertexSet reduced = edges[e];
+      reduced.ForEach([&](int v) {
+        if (degree[v] <= 1) {
+          reduced.Reset(v);
+          changed = true;
+        }
+      });
+      edges[e] = reduced;
+      if (edges[e].Empty()) alive[e] = 0;
+    }
+    for (size_t e = 0; e < edges.size(); ++e) {
+      if (!alive[e]) continue;
+      for (size_t f = 0; f < edges.size(); ++f) {
+        if (e != f && alive[f] && edges[e].IsSubsetOf(edges[f])) {
+          alive[e] = 0;
+          changed = true;
+          break;
+        }
+      }
+    }
+  }
+  std::vector<VertexSet> residual;
+  for (size_t e = 0; e < edges.size(); ++e) {
+    if (alive[e]) residual.push_back(edges[e]);
+  }
+  return residual;
+}
+
+// ---- Reference greedy elimination: rescore every vertex at every step.
+
+template <typename ScoreFn>
+std::vector<int> RefGreedyEliminate(const Graph& g, Rng* rng, ScoreFn score) {
+  Graph work = g;
+  const int n = g.num_vertices();
+  std::vector<char> alive(n, 1);
+  std::vector<int> ordering;
+  std::vector<int> tied;
+  for (int step = 0; step < n; ++step) {
+    long best = std::numeric_limits<long>::max();
+    tied.clear();
+    for (int v = 0; v < n; ++v) {
+      if (!alive[v]) continue;
+      const long s = score(work, v);
+      if (s < best) {
+        best = s;
+        tied.assign(1, v);
+      } else if (s == best && rng != nullptr) {
+        tied.push_back(v);
+      }
+    }
+    const int pick = (rng != nullptr && tied.size() > 1)
+                         ? tied[rng->UniformInt(static_cast<int>(tied.size()))]
+                         : tied.front();
+    ordering.push_back(pick);
+    alive[pick] = 0;
+    work.EliminateVertex(pick);
+  }
+  return ordering;
+}
+
+std::vector<int> RefMinFill(const Graph& g, Rng* rng) {
+  return RefGreedyEliminate(g, rng, [](const Graph& w, int v) -> long {
+    return w.EliminationFill(v);
+  });
+}
+
+std::vector<int> RefMinDegree(const Graph& g, Rng* rng) {
+  return RefGreedyEliminate(
+      g, rng, [](const Graph& w, int v) -> long { return w.Degree(v); });
+}
+
+// ---- Reference greedy cover: recount every set's gain at every pick.
+
+std::vector<int> RefGreedySetCover(const VertexSet& target,
+                                   const std::vector<VertexSet>& sets,
+                                   Rng* rng) {
+  std::vector<int> chosen;
+  VertexSet uncovered = target;
+  std::vector<int> tied;
+  while (!uncovered.Empty()) {
+    int best_gain = 0;
+    tied.clear();
+    for (int s = 0; s < static_cast<int>(sets.size()); ++s) {
+      const int gain = sets[s].IntersectCount(uncovered);
+      if (gain > best_gain) {
+        best_gain = gain;
+        tied.assign(1, s);
+      } else if (gain == best_gain && gain > 0 && rng != nullptr) {
+        tied.push_back(s);
+      }
+    }
+    const int pick = (rng != nullptr && tied.size() > 1)
+                         ? tied[rng->UniformInt(static_cast<int>(tied.size()))]
+                         : tied.front();
+    chosen.push_back(pick);
+    uncovered -= sets[pick];
+  }
+  return chosen;
+}
+
+// ---- Reference bag covers: the cover solvers over every hyperedge.
+
+std::vector<int> RefCoverBag(const Hypergraph& h, const VertexSet& bag,
+                             CoverMode mode) {
+  if (mode == CoverMode::kExact) return *ExactSetCover(bag, h.edges());
+  return GreedySetCover(bag, h.edges());
+}
+
+GhwUpperBoundResult RefGhwFromOrdering(const Hypergraph& h,
+                                       const std::vector<int>& ordering,
+                                       CoverMode mode) {
+  const VertexSet covered = h.CoveredVertices();
+  TreeDecomposition td = TdFromOrdering(h.PrimalGraph(), ordering);
+  GhwUpperBoundResult result;
+  result.ordering = ordering;
+  result.ghd.tree_edges = td.tree_edges;
+  for (VertexSet& bag : td.bags) {
+    bag &= covered;
+    std::vector<int> lambda = RefCoverBag(h, bag, mode);
+    result.width = std::max(result.width, static_cast<int>(lambda.size()));
+    result.ghd.guards.push_back(std::move(lambda));
+    result.ghd.bags.push_back(std::move(bag));
+  }
+  return result;
+}
+
+int RefGhwWidthFromOrdering(const Hypergraph& h,
+                            const std::vector<int>& ordering, CoverMode mode,
+                            int stop_at_width) {
+  const VertexSet covered = h.CoveredVertices();
+  Graph work = h.PrimalGraph();
+  int width = 0;
+  for (int v : ordering) {
+    VertexSet bag = work.Neighbors(v);
+    bag.Set(v);
+    bag &= covered;
+    width = std::max(width,
+                     static_cast<int>(RefCoverBag(h, bag, mode).size()));
+    if (stop_at_width >= 0 && width >= stop_at_width) return width;
+    work.EliminateVertex(v);
+  }
+  return width;
+}
+
+// ---- Instances.
+
+// `m` edges over `n` vertices of arity 0..max_arity; some edges repeat or
+// shrink an earlier edge, so containment, duplicates and empty edges occur.
+Hypergraph RandomHypergraph(int n, int m, int max_arity, Rng* rng) {
+  std::vector<std::string> vertex_names, edge_names;
+  for (int v = 0; v < n; ++v) vertex_names.push_back("v" + std::to_string(v));
+  std::vector<VertexSet> edges;
+  for (int e = 0; e < m; ++e) {
+    VertexSet s(n);
+    const int kind = rng->UniformInt(10);
+    if (kind == 0 && !edges.empty()) {
+      s = edges[rng->UniformInt(static_cast<int>(edges.size()))];
+    } else if (kind == 1 && !edges.empty()) {
+      s = edges[rng->UniformInt(static_cast<int>(edges.size()))];
+      const int drop = s.First();
+      if (drop >= 0) s.Reset(drop);
+    } else {
+      const int arity = rng->UniformInt(max_arity + 1);
+      for (int i = 0; i < arity; ++i) s.Set(rng->UniformInt(n));
+    }
+    edges.push_back(std::move(s));
+    edge_names.push_back("e" + std::to_string(e));
+  }
+  return Hypergraph(std::move(vertex_names), std::move(edge_names),
+                    std::move(edges));
+}
+
+// An alpha-acyclic hypergraph: each edge keeps part of an earlier edge and
+// adds fresh vertices, so GYO has to peel it all, one ear at a time.
+Hypergraph RandomJoinTree(int n, Rng* rng) {
+  std::vector<std::string> vertex_names, edge_names;
+  for (int v = 0; v < n; ++v) vertex_names.push_back("v" + std::to_string(v));
+  std::vector<VertexSet> edges;
+  int next = 0;
+  while (next < n) {
+    VertexSet s(n);
+    if (!edges.empty()) {
+      const VertexSet& parent =
+          edges[rng->UniformInt(static_cast<int>(edges.size()))];
+      parent.ForEach([&](int v) {
+        if (rng->Bernoulli(0.5)) s.Set(v);
+      });
+    }
+    for (int k = 1 + rng->UniformInt(2); k > 0 && next < n; --k) s.Set(next++);
+    edges.push_back(std::move(s));
+    edge_names.push_back("e" + std::to_string(edges.size() - 1));
+  }
+  return Hypergraph(std::move(vertex_names), std::move(edge_names),
+                    std::move(edges));
+}
+
+std::vector<Graph> RandomGraphs() {
+  std::vector<Graph> graphs;
+  uint64_t seed = 1;
+  for (int n : {1, 2, 5, 9, 17, 30}) {
+    for (double p : {0.05, 0.15, 0.4, 0.8}) {
+      for (int r = 0; r < 12; ++r) graphs.push_back(RandomGraph(n, p, seed++));
+    }
+  }
+  for (int n : kBoundarySizes) {
+    for (double p : {0.01, 0.03, 0.1}) graphs.push_back(RandomGraph(n, p, seed++));
+  }
+  return graphs;
+}
+
+std::vector<Hypergraph> RandomHypergraphs() {
+  std::vector<Hypergraph> out;
+  Rng rng(2026);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = 1 + rng.UniformInt(24);
+    out.push_back(RandomHypergraph(n, rng.UniformInt(2 * n + 2), 4, &rng));
+  }
+  for (int n : kBoundarySizes) {
+    out.push_back(RandomHypergraph(n, n, 3, &rng));
+    out.push_back(RandomHypergraph(n, n / 2, 4, &rng));
+    out.push_back(RandomJoinTree(n, &rng));
+  }
+  return out;
+}
+
+// ---- Tests.
+
+TEST(PrepassDiffTest, TreewidthLowerBoundsMatchReference) {
+  for (const Graph& g : RandomGraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(g.num_vertices()) +
+                 " m=" + std::to_string(g.NumEdges()));
+    EXPECT_EQ(DegeneracyLowerBound(g), RefDegeneracy(g));
+    EXPECT_EQ(MinorMinWidthLowerBound(g), RefMinorMinWidth(g));
+    EXPECT_EQ(GammaRLowerBound(g), RefGammaR(g));
+  }
+}
+
+TEST(PrepassDiffTest, GyoResidualMatchesReference) {
+  int cyclic = 0;
+  for (const Hypergraph& h : RandomHypergraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    const std::vector<VertexSet> want = RefGyoResidual(h);
+    EXPECT_EQ(GyoResidual(h), want);
+    EXPECT_EQ(IsAlphaAcyclic(h), want.empty());
+    if (!want.empty()) ++cyclic;
+  }
+  EXPECT_GT(cyclic, 10);  // both outcomes are exercised
+}
+
+TEST(PrepassDiffTest, OrderingsMatchReference) {
+  uint64_t seed = 7;
+  for (const Graph& g : RandomGraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(g.num_vertices()) +
+                 " m=" + std::to_string(g.NumEdges()));
+    EXPECT_EQ(MinFillOrdering(g), RefMinFill(g, nullptr));
+    EXPECT_EQ(MinDegreeOrdering(g), RefMinDegree(g, nullptr));
+    // Same ordering and the same number of draws: the next draw agrees.
+    Rng a(seed), b(seed);
+    EXPECT_EQ(MinFillOrdering(g, &a), RefMinFill(g, &b));
+    EXPECT_EQ(MinDegreeOrdering(g, &a), RefMinDegree(g, &b));
+    EXPECT_EQ(a.Next(), b.Next());
+    ++seed;
+  }
+}
+
+TEST(PrepassDiffTest, GhwFromOrderingMatchesReference) {
+  Rng rng(99);
+  for (const Hypergraph& h : RandomHypergraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    const Graph primal = h.PrimalGraph();
+    for (int r = 0; r < 2; ++r) {
+      const std::vector<int> ordering = r == 0
+                                            ? MinFillOrdering(primal)
+                                            : MinDegreeOrdering(primal, &rng);
+      for (CoverMode mode : {CoverMode::kGreedy, CoverMode::kExact}) {
+        const GhwUpperBoundResult got = GhwFromOrdering(h, ordering, mode);
+        const GhwUpperBoundResult want = RefGhwFromOrdering(h, ordering, mode);
+        EXPECT_EQ(got.width, want.width);
+        EXPECT_EQ(got.ghd.bags, want.ghd.bags);
+        EXPECT_EQ(got.ghd.guards, want.ghd.guards);
+        EXPECT_EQ(got.ghd.tree_edges, want.ghd.tree_edges);
+        EXPECT_TRUE(got.ghd.Validate(h).ok());
+        for (int stop : {-1, 1, 2, want.width}) {
+          EXPECT_EQ(GhwWidthFromOrdering(h, ordering, mode, stop),
+                    RefGhwWidthFromOrdering(h, ordering, mode, stop));
+        }
+      }
+    }
+  }
+}
+
+TEST(PrepassDiffTest, GreedySetCoverMatchesReference) {
+  Rng rng(31);
+  uint64_t seed = 3;
+  for (const Hypergraph& h : RandomHypergraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    const VertexSet covered = h.CoveredVertices();
+    for (double p : {0.2, 0.6, 1.0}) {
+      VertexSet target(h.num_vertices());
+      covered.ForEach([&](int v) {
+        if (rng.Bernoulli(p)) target.Set(v);
+      });
+      EXPECT_EQ(GreedySetCover(target, h.edges()),
+                RefGreedySetCover(target, h.edges(), nullptr));
+      Rng a(seed), b(seed);
+      EXPECT_EQ(GreedySetCover(target, h.edges(), &a),
+                RefGreedySetCover(target, h.edges(), &b));
+      EXPECT_EQ(a.Next(), b.Next());
+      ++seed;
+    }
+  }
+}
+
+TEST(PrepassDiffTest, CoverBagMatchesCoverOverAllEdges) {
+  Rng rng(5);
+  for (const Hypergraph& h : RandomHypergraphs()) {
+    const VertexSet covered = h.CoveredVertices();
+    for (int trial = 0; trial < 4; ++trial) {
+      VertexSet bag(h.num_vertices());
+      covered.ForEach([&](int v) {
+        if (rng.Bernoulli(0.3)) bag.Set(v);
+      });
+      if (bag.Count() > 24) continue;  // keep the reference exact cover small
+      for (CoverMode mode : {CoverMode::kGreedy, CoverMode::kExact}) {
+        EXPECT_EQ(CoverBag(h, bag, mode), RefCoverBag(h, bag, mode));
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace ghd

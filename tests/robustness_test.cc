@@ -1,14 +1,18 @@
-// Robustness and algebraic-law tests: parser fuzzing by truncation and
-// mutation (must never crash — only parse or fail cleanly), relational
+// Robustness and algebraic-law tests: .hg and .trace parser fuzzing by
+// truncation and mutation (must never crash — only parse or fail cleanly),
+// malformed trace lines (each a parse error, never misread), relational
 // algebra laws on random relations, and a reference-model check of VertexSet
 // against std::set.
 #include <algorithm>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "csp/relation.h"
 #include "gen/random_hypergraphs.h"
+#include "gen/workload_trace.h"
 #include "gtest/gtest.h"
 #include "hypergraph/hg_io.h"
 #include "util/bitset.h"
@@ -43,6 +47,122 @@ TEST(ParserRobustnessTest, HgRandomMutationsNeverCrash) {
     if (r.ok()) {
       EXPECT_GE(r.value().num_edges(), 1);
     }
+  }
+}
+
+// A valid trace, the smallest that exercises every line kind.
+const char kMiniTrace[] =
+    "ghdtrace 1\n"
+    "k 2\n"
+    "base-begin\n"
+    "e0(a,b),\ne1(b,c),\ne2(c,a).\n"
+    "base-end\n"
+    "remove e1\n"
+    "decide\n"
+    "batch 2\n"
+    "insert e1 b c\n"
+    "remove e0\n"
+    "decide 3\n";
+
+TEST(TraceParserTest, ParsesTheMiniTrace) {
+  Result<WorkloadTrace> r = ParseTrace(kMiniTrace);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  const WorkloadTrace& t = r.value();
+  EXPECT_EQ(t.default_k, 2);
+  EXPECT_EQ(t.base.num_edges(), 3);
+  ASSERT_EQ(t.events.size(), 4u);
+  EXPECT_EQ(t.events[2].mutations.size(), 2u);
+  EXPECT_EQ(t.events[3].k, 3);
+}
+
+// Each case replaces one line of the mini trace and must be refused. An
+// integer counts only when the whole token is a number in range, so "2abc"
+// is not 2 and an overflowing count is not some wrapped value.
+TEST(TraceParserTest, BadLinesAreParseErrors) {
+  struct Case {
+    const char* replace;
+    const char* with;
+  };
+  const Case cases[] = {
+      {"ghdtrace 1\n", "ghdtrace 2\n"},
+      {"k 2\n", "k 1x\n"},
+      {"k 2\n", "k 0\n"},
+      {"k 2\n", "k -3\n"},
+      {"k 2\n", "k +2\n"},
+      {"k 2\n", "k 99999999999999999999\n"},
+      {"base-begin\n", "base-start\n"},
+      {"base-end\n", ""},
+      {"e0(a,b),", "e0(a,b"},
+      {"remove e1\n", "remove\n"},
+      {"remove e1\n", "remove e1 e2\n"},
+      {"remove e1\n", "rename e1\n"},
+      {"insert e1 b c\n", "insert e1\n"},
+      {"decide\n", "decide 2abc\n"},
+      {"decide\n", "decide 0\n"},
+      {"decide\n", "decide 2 3\n"},
+      {"decide\n", "decide 4294967298\n"},
+      {"batch 2\n", "batch\n"},
+      {"batch 2\n", "batch 2x\n"},
+      {"batch 2\n", "batch 0\n"},
+      {"batch 2\n", "batch 3\n"},
+      {"batch 2\n", "batch 2147483648\n"},
+      {"batch 2\n", "batch 1e3\n"},
+  };
+  for (const Case& c : cases) {
+    std::string text = kMiniTrace;
+    const size_t at = text.find(c.replace);
+    ASSERT_NE(at, std::string::npos) << c.replace;
+    text.replace(at, std::string(c.replace).size(), c.with);
+    Result<WorkloadTrace> r = ParseTrace(text);
+    ASSERT_FALSE(r.ok()) << "accepted: " << c.with;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << c.with;
+  }
+}
+
+std::string SmokeTrace() {
+  std::ifstream in(std::string(GHD_DATA_DIR) + "/traces/cycle64_smoke.trace");
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// A damaged trace either fails with a parse error or parses to a well-formed
+// trace: every decide has a usable k and every delta at least one mutation.
+void ExpectWellFormed(const Result<WorkloadTrace>& r) {
+  if (!r.ok()) {
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    return;
+  }
+  EXPECT_GE(r.value().default_k, 1);
+  for (const TraceEvent& ev : r.value().events) {
+    if (ev.kind == TraceEvent::Kind::kDecide) {
+      EXPECT_GE(ev.k, 0);
+    } else {
+      EXPECT_FALSE(ev.mutations.empty());
+    }
+  }
+}
+
+TEST(TraceParserTest, SmokeTraceTruncationsNeverCrash) {
+  const std::string valid = SmokeTrace();
+  ASSERT_TRUE(ParseTrace(valid).ok());
+  for (size_t cut = 0; cut <= valid.size(); ++cut) {
+    ExpectWellFormed(ParseTrace(valid.substr(0, cut)));
+  }
+}
+
+TEST(TraceParserTest, SmokeTraceByteMutationsNeverCrash) {
+  const std::string valid = SmokeTrace();
+  const std::string noise = "0123456789-+x() ,.%\n\t\r\xff";
+  Rng rng(1515);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutated = valid;
+    const int edits = 1 + rng.UniformInt(6);
+    for (int e = 0; e < edits; ++e) {
+      const size_t pos = rng.UniformInt(static_cast<int>(mutated.size()));
+      mutated[pos] = noise[rng.UniformInt(static_cast<int>(noise.size()))];
+    }
+    ExpectWellFormed(ParseTrace(mutated));
   }
 }
 

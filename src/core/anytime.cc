@@ -4,12 +4,16 @@
 #include <limits>
 #include <optional>
 #include <utility>
+#include <vector>
 
+#include "core/front_door.h"
 #include "core/ghw_dp.h"
 #include "core/ghw_exact.h"
 #include "core/ghw_lower.h"
 #include "core/ghw_upper.h"
 #include "htd/det_k_decomp.h"
+#include "hypergraph/acyclicity.h"
+#include "hypergraph/components.h"
 #include "obs/obs.h"
 #include "util/check.h"
 
@@ -62,28 +66,12 @@ bool ClosedByHeuristics(AnytimeGhwResult* result, const Budget& root) {
   return true;
 }
 
-}  // namespace
-
-AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) {
-  AnytimeGhwResult result;
-  GHD_BOARD_PHASE("anytime");
-  GHD_ATTR_SCOPE(attr, "anytime");
-
-  Budget local_budget(options.deadline_seconds, options.tick_budget,
-                      options.memory_bytes);
-  Budget* root = options.budget;
-  if (root == nullptr) {
-    local_budget.InjectFailureFromEnv();
-    root = &local_budget;
-  }
-
-  if (h.num_edges() == 0) {
-    result.exact = true;
-    result.outcome = root->MakeOutcome();
-    Record(&result, "trivial", *root);
-    return result;
-  }
-
+// Runs rungs 1-6 on h, whose trivial upper bound is `trivial_ub` (the edge
+// count of the instance h stands for), into `result`.
+void RunLadder(const Hypergraph& h, int trivial_ub,
+               const AnytimeOptions& options, Budget* root,
+               AnytimeGhwResult* result_ptr) {
+  AnytimeGhwResult& result = *result_ptr;
   // Rung 1 (tick-free): combinatorial lower bound. Always runs, so even a
   // zero-tick budget yields a nontrivial certified interval.
   {
@@ -91,7 +79,7 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
     GHD_BOARD_RUNG("lower-bound");
     GHD_ATTR_SCOPE(rung_attr, "lower-bound");
     result.lower_bound = std::max(1, GhwLowerBound(h));
-    result.upper_bound = h.num_edges();
+    result.upper_bound = trivial_ub;
     Record(&result, "lower-bound", *root);
     span.SetArg("lb", result.lower_bound);
   }
@@ -108,20 +96,24 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
     Record(&result, "greedy-cover", *root);
     span.SetArg("ub", result.upper_bound);
   }
-  if (ClosedByHeuristics(&result, *root)) return result;
+  if (ClosedByHeuristics(&result, *root)) return;
 
   // Rung 3 (tick-free): randomized multi-restart with exact per-bag covers.
+  // Its best is also the B&B rung's warm start: restart 0 is the one-restart
+  // warm start the B&B would run itself (same seed), so the incumbent is
+  // never worse.
+  std::optional<GhwUpperBoundResult> incumbent;
   if (options.heuristic_restarts > 0) {
     GHD_SPAN_VAR(span, "anytime", "rung:multi-restart");
     GHD_BOARD_RUNG("multi-restart");
     GHD_ATTR_SCOPE(rung_attr, "multi-restart");
-    GhwUpperBoundResult multi = GhwUpperBoundMultiRestart(
-        h, options.heuristic_restarts, options.seed, CoverMode::kExact);
-    Improve(&result, h, std::move(multi.ghd), multi.width);
+    incumbent = GhwUpperBoundMultiRestart(h, options.heuristic_restarts,
+                                          options.seed, CoverMode::kExact);
+    Improve(&result, h, incumbent->ghd, incumbent->width);
     Record(&result, "multi-restart", *root);
     span.SetArg("ub", result.upper_bound);
   }
-  if (ClosedByHeuristics(&result, *root)) return result;
+  if (ClosedByHeuristics(&result, *root)) return;
 
   // Rung 4: subset DP — an independent exact engine for small instances. It
   // yields the exact width but no witness; the B&B below (seeded with
@@ -165,7 +157,13 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
     exact_options.heuristic_restarts = 0;  // rung 3 already did this
     exact_options.seed = options.seed;
     if (dp_width.has_value()) exact_options.stop_at_width = *dp_width;
-    ExactGhwResult exact = ExactGhwComponentwise(h, exact_options);
+    // The search starts from this ladder's lower bound and rung 3's best
+    // instead of computing its own.
+    ExactGhwResult exact =
+        incumbent.has_value()
+            ? internal::ExactGhwSeeded(h, exact_options, result.lower_bound,
+                                       std::move(*incumbent))
+            : ExactGhwComponentwise(h, exact_options);
     result.lower_bound = std::max(result.lower_bound, exact.lower_bound);
     Improve(&result, h, std::move(exact.best_ghd), exact.upper_bound);
     if (exact.exact) result.lower_bound = exact.upper_bound;
@@ -208,6 +206,62 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
   result.exact = result.lower_bound == result.upper_bound;
   result.outcome = root->MakeOutcome();
   result.outcome.complete = result.exact;
+}
+
+}  // namespace
+
+AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) {
+  AnytimeGhwResult result;
+  GHD_BOARD_PHASE("anytime");
+  GHD_ATTR_SCOPE(attr, "anytime");
+
+  Budget local_budget(options.deadline_seconds, options.tick_budget,
+                      options.memory_bytes);
+  Budget* root = options.budget;
+  if (root == nullptr) {
+    local_budget.InjectFailureFromEnv();
+    root = &local_budget;
+  }
+
+  if (h.num_edges() == 0) {
+    result.exact = true;
+    result.outcome = root->MakeOutcome();
+    Record(&result, "trivial", *root);
+    return result;
+  }
+
+  // Front door (tick-free): GYO removes the acyclic part of h. When nothing
+  // is left, ghw = 1 and the join tree is the witness; otherwise the ladder
+  // runs on the GYO core, which has the same ghw (DESIGN.md, "GYO front
+  // door"), and the removed edges are grafted back onto its witness.
+  GyoReduction gyo;
+  {
+    GHD_ATTR_SCOPE(door_attr, "front-door");
+    gyo = GyoReduce(h);
+  }
+  // The core witness covers only what GYO left of h: every edge is hung.
+  const std::vector<char> hang(h.num_edges(), 1);
+  if (gyo.acyclic()) {
+    GHD_ATTR_SCOPE(door_attr, "front-door");
+    result.lower_bound = result.upper_bound = 1;
+    result.witness = GraftGyoEdges(h, gyo, hang, {});
+    result.exact = true;
+    result.outcome = root->MakeOutcome();
+    Record(&result, "front-door", *root);
+  } else if (gyo.removal_order.empty()) {
+    RunLadder(h, h.num_edges(), options, root, &result);
+    return result;  // the ladder validated its witness on h itself
+  } else {
+    RunLadder(EdgeSubhypergraph(h, gyo.core_edges, &gyo.residual),
+              h.num_edges(), options, root, &result);
+    GHD_ATTR_SCOPE(door_attr, "front-door");
+    for (std::vector<int>& guards : result.witness.guards) {
+      for (int& e : guards) e = gyo.core_edges[e];
+    }
+    result.witness = GraftGyoEdges(h, gyo, hang, std::move(result.witness));
+  }
+  GHD_CHECK(result.witness.Validate(h).ok());
+  GHD_CHECK(result.witness.Width() <= result.upper_bound);
   return result;
 }
 

@@ -78,7 +78,10 @@ struct AnytimeGhwResult {
 
 /// Runs the degradation ladder under the governor. Never fails: even a budget
 /// of zero ticks yields a validated interval, because the heuristic rungs do
-/// not consume ticks.
+/// not consume ticks. The GYO front door comes first: an alpha-acyclic h is
+/// answered [1, 1] with its join tree (trail: "front-door"), and otherwise
+/// the ladder runs on the GYO core, whose witness gets the removed edges
+/// grafted back (core/front_door.h).
 AnytimeGhwResult AnytimeGhw(const Hypergraph& h,
                             const AnytimeOptions& options = {});
 

@@ -1,6 +1,8 @@
 #include "core/ghd.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
 
@@ -20,19 +22,8 @@ Status GeneralizedHypertreeDecomposition::Validate(const Hypergraph& h) const {
                                                     h.num_vertices());
   if (!s.ok()) return s;
   // Condition (1): every hyperedge inside some bag.
-  for (int e = 0; e < h.num_edges(); ++e) {
-    bool inside = false;
-    for (const VertexSet& bag : bags) {
-      if (h.edge(e).IsSubsetOf(bag)) {
-        inside = true;
-        break;
-      }
-    }
-    if (!inside) {
-      return Status::InvalidArgument("hyperedge " + h.edge_name(e) +
-                                     " not inside any bag");
-    }
-  }
+  s = internal::ValidateEdgesInsideBags(h, bags);
+  if (!s.ok()) return s;
   // Condition (3): χ(p) ⊆ var(λ(p)).
   for (int p = 0; p < num_nodes(); ++p) {
     VertexSet lambda_vars(h.num_vertices());
@@ -98,6 +89,24 @@ GeneralizedHypertreeDecomposition MakeComplete(
     ghd.tree_edges.emplace_back(host, ghd.num_nodes() - 1);
   }
   return ghd;
+}
+
+void AppendPart(GeneralizedHypertreeDecomposition* ghd,
+                GeneralizedHypertreeDecomposition part,
+                const std::vector<int>& edge_ids, int parent) {
+  const int offset = ghd->num_nodes();
+  for (int node = 0; node < part.num_nodes(); ++node) {
+    ghd->bags.push_back(std::move(part.bags[node]));
+    std::vector<int> mapped;
+    for (int local : part.guards[node]) mapped.push_back(edge_ids[local]);
+    ghd->guards.push_back(std::move(mapped));
+  }
+  for (const auto& [a, b] : part.tree_edges) {
+    ghd->tree_edges.emplace_back(a + offset, b + offset);
+  }
+  if (parent >= 0 && part.num_nodes() > 0) {
+    ghd->tree_edges.emplace_back(parent, offset);
+  }
 }
 
 }  // namespace ghd

@@ -49,6 +49,16 @@ struct GeneralizedHypertreeDecomposition {
 GeneralizedHypertreeDecomposition MakeComplete(
     const Hypergraph& h, GeneralizedHypertreeDecomposition ghd);
 
+/// Appends `part`, a decomposition of the sub-hypergraph of h on the edges
+/// `edge_ids` (guards are indices into `edge_ids`), to `ghd`: guards map back
+/// to h's edge ids and part's node 0 hangs under node `parent` of `ghd` (no
+/// link when `parent` < 0). For vertex-disjoint parts this keeps every GHD
+/// condition, and the special condition when each part is rooted at its
+/// node 0.
+void AppendPart(GeneralizedHypertreeDecomposition* ghd,
+                GeneralizedHypertreeDecomposition part,
+                const std::vector<int>& edge_ids, int parent);
+
 }  // namespace ghd
 
 #endif  // GHD_CORE_GHD_H_

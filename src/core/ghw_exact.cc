@@ -245,8 +245,16 @@ struct Search {
   }
 };
 
+// A lower bound and a warm start the caller already holds.
+struct Seed {
+  int lower_bound = 0;
+  GhwUpperBoundResult incumbent;
+};
+
+// Without a seed the search computes both itself.
 ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
-                            ThreadPool* pool, Budget* budget) {
+                            ThreadPool* pool, Budget* budget,
+                            Seed* seed = nullptr) {
   ExactGhwResult result;
   if (h.num_edges() == 0 || h.num_vertices() == 0) {
     result.exact = true;
@@ -262,12 +270,14 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
   const Graph primal = h.PrimalGraph();
 
   // Incumbent from randomized heuristics with exact covers.
-  GhwUpperBoundResult warm = GhwUpperBoundMultiRestart(
-      h, std::max(1, options.heuristic_restarts), options.seed,
-      CoverMode::kExact);
+  GhwUpperBoundResult warm =
+      seed != nullptr ? std::move(seed->incumbent)
+                      : GhwUpperBoundMultiRestart(
+                            h, std::max(1, options.heuristic_restarts),
+                            options.seed, CoverMode::kExact);
   shared.ub.store(warm.width, std::memory_order_relaxed);
 
-  const int root_lb = GhwLowerBound(h);
+  const int root_lb = seed != nullptr ? seed->lower_bound : GhwLowerBound(h);
   if (root_lb >= warm.width ||
       (options.stop_at_width > 0 && warm.width <= options.stop_at_width)) {
     result.lower_bound = root_lb;
@@ -311,16 +321,35 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
   return result;
 }
 
-}  // namespace
-
-ExactGhwResult ExactGhw(const Hypergraph& h, const ExactGhwOptions& options) {
+ExactGhwResult ExactGhwWithSeed(const Hypergraph& h,
+                                const ExactGhwOptions& options, Seed* seed) {
   const int threads = ThreadPool::EffectiveThreads(options.num_threads);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   Budget local_budget(options.time_limit_seconds, options.node_budget);
   Budget* budget = options.budget != nullptr ? options.budget : &local_budget;
-  return ExactGhwImpl(h, options, pool.get(), budget);
+  return ExactGhwImpl(h, options, pool.get(), budget, seed);
 }
+
+}  // namespace
+
+ExactGhwResult ExactGhw(const Hypergraph& h, const ExactGhwOptions& options) {
+  return ExactGhwWithSeed(h, options, nullptr);
+}
+
+namespace internal {
+
+ExactGhwResult ExactGhwSeeded(const Hypergraph& h,
+                              const ExactGhwOptions& options, int lower_bound,
+                              GhwUpperBoundResult incumbent) {
+  if (ConnectedEdgeComponents(h).size() > 1) {
+    return ExactGhwComponentwise(h, options);
+  }
+  Seed seed{lower_bound, std::move(incumbent)};
+  return ExactGhwWithSeed(h, options, &seed);
+}
+
+}  // namespace internal
 
 ExactGhwResult ExactGhwComponentwise(const Hypergraph& h,
                                      const ExactGhwOptions& options) {
@@ -366,21 +395,9 @@ ExactGhwResult ExactGhwComponentwise(const Hypergraph& h,
     // and chain the component subtrees (vertex-disjoint, so per-vertex
     // connectedness is unaffected).
     const int offset = combined.best_ghd.num_nodes();
-    for (int node = 0; node < part.best_ghd.num_nodes(); ++node) {
-      combined.best_ghd.bags.push_back(part.best_ghd.bags[node]);
-      std::vector<int> mapped;
-      for (int local : part.best_ghd.guards[node]) {
-        mapped.push_back(groups[p][local]);
-      }
-      combined.best_ghd.guards.push_back(std::move(mapped));
-    }
-    for (const auto& [a, b] : part.best_ghd.tree_edges) {
-      combined.best_ghd.tree_edges.emplace_back(a + offset, b + offset);
-    }
-    if (previous_root >= 0 && part.best_ghd.num_nodes() > 0) {
-      combined.best_ghd.tree_edges.emplace_back(previous_root, offset);
-    }
-    if (part.best_ghd.num_nodes() > 0) previous_root = offset;
+    AppendPart(&combined.best_ghd, std::move(part.best_ghd), groups[p],
+               previous_root);
+    if (combined.best_ghd.num_nodes() > offset) previous_root = offset;
     // Combined witness ordering: this part's covered vertices in the order
     // the part's solver chose.
     const VertexSet part_covered = parts[p].CoveredVertices();

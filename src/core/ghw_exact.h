@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/ghd.h"
+#include "core/ghw_upper.h"
 #include "hypergraph/hypergraph.h"
 #include "util/resource_governor.h"
 
@@ -76,6 +77,20 @@ std::optional<bool> GhwAtMost(const Hypergraph& h, int k,
 /// multi-component inputs; `exact` requires every component to finish.
 ExactGhwResult ExactGhwComponentwise(const Hypergraph& h,
                                      const ExactGhwOptions& options = {});
+
+namespace internal {
+
+/// ExactGhwComponentwise for a caller that already holds a lower bound on
+/// ghw(h) and an incumbent (a GhwFromOrdering result on h with exact covers)
+/// — AnytimeGhw's rungs 1 and 3. On a connected h the search starts from
+/// them instead of computing GhwLowerBound and its own warm start; neither
+/// is per component, so a disconnected h is solved as ExactGhwComponentwise
+/// solves it.
+ExactGhwResult ExactGhwSeeded(const Hypergraph& h,
+                              const ExactGhwOptions& options, int lower_bound,
+                              GhwUpperBoundResult incumbent);
+
+}  // namespace internal
 
 }  // namespace ghd
 

@@ -31,6 +31,9 @@ struct HypertreeWidthResult {
 
 /// Computes hw(H) by trying k = lb, lb+1, ..., max_k (max_k <= 0 means up to
 /// the number of edges). Stops early on budget exhaustion with exact = false.
+/// Alpha-acyclic components are answered by their GYO join tree; on a
+/// disconnected h each cyclic component runs its own ladder. The witness is
+/// rooted at node 0.
 HypertreeWidthResult HypertreeWidth(const Hypergraph& h, int max_k = 0,
                                     const KDeciderOptions& options = {});
 

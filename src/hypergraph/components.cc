@@ -30,21 +30,29 @@ std::vector<std::vector<int>> ConnectedEdgeComponents(const Hypergraph& h) {
   return components;
 }
 
-std::vector<Hypergraph> SplitIntoComponents(const Hypergraph& h) {
+Hypergraph EdgeSubhypergraph(const Hypergraph& h,
+                             const std::vector<int>& edge_ids,
+                             const std::vector<VertexSet>* sets) {
   std::vector<std::string> vertex_names;
   vertex_names.reserve(h.num_vertices());
   for (int v = 0; v < h.num_vertices(); ++v) {
     vertex_names.push_back(h.vertex_name(v));
   }
+  std::vector<std::string> edge_names;
+  std::vector<VertexSet> edges;
+  if (sets != nullptr) edges = *sets;
+  for (int e : edge_ids) {
+    edge_names.push_back(h.edge_name(e));
+    if (sets == nullptr) edges.push_back(h.edge(e));
+  }
+  return Hypergraph(std::move(vertex_names), std::move(edge_names),
+                    std::move(edges));
+}
+
+std::vector<Hypergraph> SplitIntoComponents(const Hypergraph& h) {
   std::vector<Hypergraph> parts;
   for (const std::vector<int>& group : ConnectedEdgeComponents(h)) {
-    std::vector<std::string> edge_names;
-    std::vector<VertexSet> edges;
-    for (int e : group) {
-      edge_names.push_back(h.edge_name(e));
-      edges.push_back(h.edge(e));
-    }
-    parts.emplace_back(vertex_names, std::move(edge_names), std::move(edges));
+    parts.push_back(EdgeSubhypergraph(h, group));
   }
   return parts;
 }

@@ -72,8 +72,11 @@ Hypergraph Hypergraph::InducedOn(const VertexSet& keep) const {
 }
 
 int Hypergraph::Rank() const {
+  const std::vector<int32_t>& offsets = flat_->edge_offsets();
   int r = 0;
-  for (const VertexSet& e : edges_) r = std::max(r, e.Count());
+  for (size_t e = 0; e + 1 < offsets.size(); ++e) {
+    r = std::max(r, offsets[e + 1] - offsets[e]);
+  }
   return r;
 }
 
@@ -87,10 +90,40 @@ int Hypergraph::MaxDegree() const {
 }
 
 bool Hypergraph::IsConnected() const {
-  VertexSet covered = CoveredVertices();
-  if (covered.Empty()) return true;
-  Graph primal = PrimalGraph();
-  return primal.ComponentsWithin(covered).size() == 1;
+  // Breadth-first over the two CSRs from the first covered vertex: a vertex
+  // reaches its edges, an edge its vertices, each entered once.
+  const std::vector<int32_t>& voff = flat_->vertex_offsets();
+  const std::vector<int32_t>& vedges = flat_->vertex_edges();
+  const std::vector<int32_t>& eoff = flat_->edge_offsets();
+  const std::vector<int32_t>& everts = flat_->edge_vertices();
+  const int n = num_vertices();
+  int covered = 0;
+  int start = -1;
+  for (int v = 0; v < n; ++v) {
+    if (voff[v + 1] == voff[v]) continue;
+    ++covered;
+    if (start < 0) start = v;
+  }
+  if (covered == 0) return true;
+  std::vector<char> seen_vertex(n, 0), seen_edge(num_edges(), 0);
+  std::vector<int> queue = {start};
+  seen_vertex[start] = 1;
+  for (size_t i = 0; i < queue.size(); ++i) {
+    const int v = queue[i];
+    for (int j = voff[v]; j < voff[v + 1]; ++j) {
+      const int e = vedges[j];
+      if (seen_edge[e]) continue;
+      seen_edge[e] = 1;
+      for (int k = eoff[e]; k < eoff[e + 1]; ++k) {
+        const int u = everts[k];
+        if (!seen_vertex[u]) {
+          seen_vertex[u] = 1;
+          queue.push_back(u);
+        }
+      }
+    }
+  }
+  return static_cast<int>(queue.size()) == covered;
 }
 
 EdgeDeltaResult ApplyEdgeDelta(const Hypergraph& base, const EdgeDelta& delta) {

@@ -1,6 +1,7 @@
 #include "td/tree_decomposition.h"
 
 #include <algorithm>
+#include <string>
 
 namespace ghd {
 namespace internal {
@@ -22,6 +23,7 @@ Status ValidateTreeAndConnectedness(
     adj[a].push_back(b);
     adj[b].push_back(a);
   }
+  std::vector<int> parent(t, -1);
   std::vector<char> seen(t, 0);
   std::vector<int> stack = {0};
   seen[0] = 1;
@@ -32,6 +34,7 @@ Status ValidateTreeAndConnectedness(
     for (int q : adj[p]) {
       if (!seen[q]) {
         seen[q] = 1;
+        parent[q] = p;
         ++reached;
         stack.push_back(q);
       }
@@ -41,20 +44,63 @@ Status ValidateTreeAndConnectedness(
 
   // Connectedness condition: for each vertex, bags containing it induce a
   // connected subtree. Count nodes and induced edges: a forest restricted to
-  // the occurrence set is connected iff edges == nodes - 1.
+  // the occurrence set is connected iff edges == nodes - 1. Rooted at node
+  // 0, the induced edges are the nodes holding v whose parent holds v too.
+  std::vector<int> nodes(num_vertices, 0), induced(num_vertices, 0);
+  for (int p = 0; p < t; ++p) {
+    bags[p].ForEach([&](int v) {
+      if (v >= num_vertices) return;
+      ++nodes[v];
+      if (parent[p] >= 0 && bags[parent[p]].Test(v)) ++induced[v];
+    });
+  }
   for (int v = 0; v < num_vertices; ++v) {
-    int nodes = 0;
-    for (const VertexSet& bag : bags) {
-      if (bag.Test(v)) ++nodes;
-    }
-    if (nodes == 0) continue;
-    int induced = 0;
-    for (const auto& [a, b] : edges) {
-      if (bags[a].Test(v) && bags[b].Test(v)) ++induced;
-    }
-    if (induced != nodes - 1) {
+    if (nodes[v] != 0 && induced[v] != nodes[v] - 1) {
       return Status::InvalidArgument("connectedness violated for vertex " +
                                      std::to_string(v));
+    }
+  }
+  return Status::Ok();
+}
+
+BagIndex::BagIndex(const std::vector<VertexSet>& bags, int num_vertices)
+    : bags_(bags),
+      num_bags_(static_cast<int>(bags.size())),
+      offsets_(num_vertices + 1, 0) {
+  const int n = num_vertices;
+  for (const VertexSet& bag : bags) {
+    bag.ForEach([&](int v) {
+      if (v < n) ++offsets_[v + 1];
+    });
+  }
+  for (int v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
+  holders_.resize(offsets_[n]);
+  std::vector<int> fill(offsets_.begin(), offsets_.end() - 1);
+  for (int p = 0; p < num_bags_; ++p) {
+    bags[p].ForEach([&](int v) {
+      if (v < n) holders_[fill[v]++] = p;
+    });
+  }
+}
+
+int BagIndex::FirstHolder(const VertexSet& s) const {
+  const int v = s.First();
+  if (v < 0) return num_bags_ > 0 ? 0 : -1;
+  if (v + 1 >= static_cast<int>(offsets_.size())) return -1;
+  // Holders of v are in ascending bag order, so the first hit is the least.
+  for (int i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+    if (s.IsSubsetOf(bags_[holders_[i]])) return holders_[i];
+  }
+  return -1;
+}
+
+Status ValidateEdgesInsideBags(const Hypergraph& h,
+                               const std::vector<VertexSet>& bags) {
+  const BagIndex index(bags, h.num_vertices());
+  for (int e = 0; e < h.num_edges(); ++e) {
+    if (index.FirstHolder(h.edge(e)) < 0) {
+      return Status::InvalidArgument("hyperedge " + h.edge_name(e) +
+                                     " not inside any bag");
     }
   }
   return Status::Ok();
@@ -95,20 +141,7 @@ Status TreeDecomposition::ValidateForHypergraph(const Hypergraph& h) const {
   Status s = internal::ValidateTreeAndConnectedness(bags, tree_edges,
                                                     h.num_vertices());
   if (!s.ok()) return s;
-  for (int e = 0; e < h.num_edges(); ++e) {
-    bool inside = false;
-    for (const VertexSet& bag : bags) {
-      if (h.edge(e).IsSubsetOf(bag)) {
-        inside = true;
-        break;
-      }
-    }
-    if (!inside) {
-      return Status::InvalidArgument("hyperedge " + h.edge_name(e) +
-                                     " not inside any bag");
-    }
-  }
-  return Status::Ok();
+  return internal::ValidateEdgesInsideBags(h, bags);
 }
 
 }  // namespace ghd

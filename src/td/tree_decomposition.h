@@ -38,6 +38,30 @@ namespace internal {
 Status ValidateTreeAndConnectedness(const std::vector<VertexSet>& bags,
                                     const std::vector<std::pair<int, int>>& edges,
                                     int num_vertices);
+
+/// Vertex -> bags holding it, as a CSR built in one pass over the bags. A
+/// lookup tries only the bags that hold the set's least vertex. The index
+/// reads `bags` through a reference; bags appended later are not indexed.
+class BagIndex {
+ public:
+  /// Indexes the vertices below `num_vertices`.
+  BagIndex(const std::vector<VertexSet>& bags, int num_vertices);
+
+  /// The least index of an indexed bag holding s, or -1 when none does. An
+  /// empty s is held by bag 0 (by none when there are no bags).
+  int FirstHolder(const VertexSet& s) const;
+
+ private:
+  const std::vector<VertexSet>& bags_;
+  int num_bags_;
+  std::vector<int> offsets_;
+  std::vector<int> holders_;
+};
+
+/// Condition (1) over hyperedges: the first hyperedge of h, by id, that no
+/// bag contains is reported. Bags are looked up through a BagIndex.
+Status ValidateEdgesInsideBags(const Hypergraph& h,
+                               const std::vector<VertexSet>& bags);
 }  // namespace internal
 
 }  // namespace ghd

@@ -22,6 +22,7 @@
 #include "gen/circuits.h"
 #include "gen/generators.h"
 #include "gtest/gtest.h"
+#include "hypergraph/acyclicity.h"
 #include "hypergraph/hg_io.h"
 
 namespace ghd {
@@ -145,6 +146,25 @@ TEST(AnytimeTest, ClosedIntervalStopsTheLadder) {
     const AnytimeGhwResult r = AnytimeGhw(h);
     ASSERT_TRUE(r.exact);
 
+    // The window paths are alpha-acyclic: the GYO front door closes them
+    // before any rung, with a width-1 join tree (one node per edge,
+    // χ = e, λ = {e}).
+    if (IsAlphaAcyclic(h)) {
+      ASSERT_EQ(r.trail.size(), 1u);
+      EXPECT_EQ(r.trail[0].engine, "front-door");
+      EXPECT_EQ(r.lower_bound, 1);
+      EXPECT_EQ(r.upper_bound, 1);
+      EXPECT_TRUE(r.witness.Validate(h).ok());
+      EXPECT_EQ(r.witness.Width(), 1);
+      ASSERT_EQ(r.witness.num_nodes(), h.num_edges());
+      for (int p = 0; p < r.witness.num_nodes(); ++p) {
+        ASSERT_EQ(r.witness.guards[p].size(), 1u);
+        EXPECT_EQ(r.witness.bags[p], h.edge(r.witness.guards[p][0]));
+      }
+      closers.push_back(r.trail[0].engine);
+      continue;
+    }
+
     const int lb = std::max(1, GhwLowerBound(h));
     GhwUpperBoundResult every =
         GhwUpperBound(h, OrderingHeuristic::kMinFill, CoverMode::kGreedy);
@@ -176,8 +196,8 @@ TEST(AnytimeTest, ClosedIntervalStopsTheLadder) {
     EXPECT_EQ(r.witness.tree_edges, every.ghd.tree_edges);
   }
   // Every way to close is exercised.
-  for (const char* closer :
-       {"greedy-cover", "multi-restart", "subset-dp", "exact-bnb"}) {
+  for (const char* closer : {"front-door", "greedy-cover", "multi-restart",
+                             "subset-dp", "exact-bnb"}) {
     EXPECT_NE(std::find(closers.begin(), closers.end(), closer),
               closers.end())
         << closer;

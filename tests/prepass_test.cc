@@ -1,6 +1,9 @@
 // Differential tests for the pre-passes that run before (or instead of) the
 // exact width engines: the treewidth lower bounds, the GYO reduction, the
-// greedy elimination orderings, the greedy set cover and the per-bag covers.
+// greedy elimination orderings, the greedy set cover, the per-bag covers and
+// the structural statistics (intersection widths, connectivity). The GYO
+// front door of HypertreeWidth and AnytimeGhw is swept against the engines
+// it bypasses.
 // Each is compared with a reference version kept only here, which rescans
 // the whole instance at every step, on random graphs and hypergraphs,
 // including universes on both sides of the 64- and 128-bit word boundaries.
@@ -11,10 +14,17 @@
 #include <string>
 #include <vector>
 
+#include "core/anytime.h"
+#include "core/ghw_exact.h"
 #include "core/ghw_upper.h"
+#include "core/k_decider.h"
+#include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
 #include "gtest/gtest.h"
+#include "htd/det_k_decomp.h"
+#include "htd/hypertree_decomposition.h"
 #include "hypergraph/acyclicity.h"
+#include "hypergraph/stats.h"
 #include "setcover/set_cover.h"
 #include "td/bucket_elimination.h"
 #include "td/lower_bounds.h"
@@ -152,6 +162,52 @@ std::vector<VertexSet> RefGyoResidual(const Hypergraph& h) {
     if (alive[e]) residual.push_back(edges[e]);
   }
   return residual;
+}
+
+// ---- Reference statistics: every pair, every c-tuple of universe-wide sets.
+
+int RefIntersectionWidth(const Hypergraph& h) {
+  int best = 0;
+  for (int a = 0; a < h.num_edges(); ++a) {
+    for (int b = a + 1; b < h.num_edges(); ++b) {
+      best = std::max(best, h.edge(a).IntersectCount(h.edge(b)));
+    }
+  }
+  return best;
+}
+
+// Extends the intersection `acc` (over edges chosen so far) with `remaining`
+// more edges starting from index `from`, tracking the best count found.
+void RefMultiIntersectRec(const Hypergraph& h, const VertexSet& acc, int from,
+                          int remaining, int* best) {
+  if (remaining == 0) {
+    *best = std::max(*best, acc.Count());
+    return;
+  }
+  if (acc.Count() <= *best) return;  // Intersections only shrink.
+  for (int e = from; e <= h.num_edges() - remaining; ++e) {
+    VertexSet next = acc;
+    next &= h.edge(e);
+    if (next.Count() > *best) {
+      RefMultiIntersectRec(h, next, e + 1, remaining - 1, best);
+    }
+  }
+}
+
+int RefMultiIntersectionWidth(const Hypergraph& h, int c) {
+  if (h.num_edges() < c) return 0;
+  if (c == 1) return h.Rank();
+  int best = 0;
+  for (int e = 0; e <= h.num_edges() - c; ++e) {
+    RefMultiIntersectRec(h, h.edge(e), e + 1, c - 1, &best);
+  }
+  return best;
+}
+
+bool RefIsConnected(const Hypergraph& h) {
+  const VertexSet covered = h.CoveredVertices();
+  if (covered.Empty()) return true;
+  return h.PrimalGraph().ComponentsWithin(covered).size() == 1;
 }
 
 // ---- Reference greedy elimination: rescore every vertex at every step.
@@ -457,6 +513,190 @@ TEST(PrepassDiffTest, CoverBagMatchesCoverOverAllEdges) {
       }
     }
   }
+}
+
+// Universes on both sides of one and of four 64-bit words.
+std::vector<Hypergraph> StatsHypergraphs() {
+  std::vector<Hypergraph> out = RandomHypergraphs();
+  Rng rng(4242);
+  for (int n : {255, 256, 257}) {
+    out.push_back(RandomHypergraph(n, n, 3, &rng));
+    out.push_back(RandomHypergraph(n, n / 3, 6, &rng));
+    out.push_back(RandomJoinTree(n, &rng));
+  }
+  // Dense small instances, where many c-tuples share vertices.
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 2 + rng.UniformInt(10);
+    out.push_back(RandomHypergraph(n, 4 + rng.UniformInt(12), n, &rng));
+  }
+  return out;
+}
+
+TEST(PrepassDiffTest, IntersectionWidthsMatchReference) {
+  for (const Hypergraph& h : StatsHypergraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    EXPECT_EQ(IntersectionWidth(h), RefIntersectionWidth(h));
+    for (int c = 1; c <= 5; ++c) {
+      EXPECT_EQ(MultiIntersectionWidth(h, c), RefMultiIntersectionWidth(h, c))
+          << "c=" << c;
+    }
+  }
+}
+
+TEST(PrepassDiffTest, IsConnectedMatchesPrimalGraph) {
+  int connected = 0, disconnected = 0;
+  for (const Hypergraph& h : StatsHypergraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    const bool want = RefIsConnected(h);
+    EXPECT_EQ(h.IsConnected(), want);
+    EXPECT_EQ(ComputeStats(h).connected, want);
+    ++(want ? connected : disconnected);
+  }
+  EXPECT_GT(connected, 10);  // both outcomes are exercised
+  EXPECT_GT(disconnected, 10);
+}
+
+// ---- Front door.
+
+// `base` plus `ears` nonempty edges, each part of an earlier edge (base or
+// ear) and zero to two fresh vertices: GYO removes every ear, and an ear
+// without fresh vertices is an edge contained in another.
+Hypergraph WithEars(const Hypergraph& base, int ears, Rng* rng) {
+  const int n = base.num_vertices() + 2 * ears;
+  std::vector<std::string> vertex_names, edge_names;
+  for (int v = 0; v < n; ++v) vertex_names.push_back("v" + std::to_string(v));
+  std::vector<VertexSet> edges;
+  for (int e = 0; e < base.num_edges(); ++e) {
+    VertexSet s(n);
+    base.edge(e).ForEach([&](int v) { s.Set(v); });
+    edges.push_back(std::move(s));
+  }
+  int next = base.num_vertices();
+  for (int i = 0; i < ears; ++i) {
+    VertexSet s(n);
+    const VertexSet& parent =
+        edges[rng->UniformInt(static_cast<int>(edges.size()))];
+    parent.ForEach([&](int v) {
+      if (rng->Bernoulli(0.5)) s.Set(v);
+    });
+    for (int k = rng->UniformInt(3); k > 0; --k) s.Set(next++);
+    if (s.Empty()) s.Set(next++);
+    edges.push_back(std::move(s));
+  }
+  for (size_t e = 0; e < edges.size(); ++e) {
+    edge_names.push_back("e" + std::to_string(e));
+  }
+  return Hypergraph(std::move(vertex_names), std::move(edge_names),
+                    std::move(edges));
+}
+
+// a and b side by side over disjoint vertex ranges.
+Hypergraph DisjointUnion(const Hypergraph& a, const Hypergraph& b) {
+  const int n = a.num_vertices() + b.num_vertices();
+  std::vector<std::string> vertex_names, edge_names;
+  for (int v = 0; v < n; ++v) vertex_names.push_back("v" + std::to_string(v));
+  std::vector<VertexSet> edges;
+  for (const Hypergraph* part : {&a, &b}) {
+    const int shift = part == &a ? 0 : a.num_vertices();
+    for (int e = 0; e < part->num_edges(); ++e) {
+      VertexSet s(n);
+      part->edge(e).ForEach([&](int v) { s.Set(v + shift); });
+      edges.push_back(std::move(s));
+      edge_names.push_back("e" + std::to_string(edge_names.size()));
+    }
+  }
+  return Hypergraph(std::move(vertex_names), std::move(edge_names),
+                    std::move(edges));
+}
+
+std::vector<Hypergraph> FrontDoorInstances() {
+  std::vector<Hypergraph> out;
+  Rng rng(1606);
+  for (int trial = 0; trial < 24; ++trial) {
+    out.push_back(RandomJoinTree(3 + rng.UniformInt(40), &rng));
+  }
+  out.push_back(RandomJoinTree(65, &rng));
+  out.push_back(RandomJoinTree(129, &rng));
+  const Hypergraph cores[] = {CycleHypergraph(3), CycleHypergraph(6),
+                              CycleHypergraph(9), Grid2dHypergraph(3, 3),
+                              Grid2dHypergraph(2, 4)};
+  for (const Hypergraph& core : cores) {
+    for (int ears : {1, 4, 12}) out.push_back(WithEars(core, ears, &rng));
+  }
+  for (int trial = 0; trial < 8; ++trial) {
+    const Hypergraph cyclic = WithEars(
+        trial % 2 == 0 ? CycleHypergraph(4 + trial) : Grid2dHypergraph(2, 3),
+        rng.UniformInt(8), &rng);
+    const Hypergraph tree = RandomJoinTree(2 + rng.UniformInt(20), &rng);
+    out.push_back(trial % 3 == 0 ? DisjointUnion(tree, cyclic)
+                                 : DisjointUnion(cyclic, tree));
+  }
+  out.push_back(DisjointUnion(WithEars(CycleHypergraph(5), 3, &rng),
+                              WithEars(Grid2dHypergraph(3, 3), 3, &rng)));
+  out.push_back(DisjointUnion(RandomJoinTree(9, &rng),
+                              RandomJoinTree(14, &rng)));
+  return out;
+}
+
+// hw by the k-decider alone, k = 1, 2, ...: no GYO, no lower bound, no
+// component split.
+int PlainHypertreeWidth(const Hypergraph& h) {
+  const GuardFamily family = OriginalEdgesFamily(h);
+  for (int k = 1;; ++k) {
+    const KDeciderResult r = DecideWidthK(h, family, k, {});
+    EXPECT_TRUE(r.decided);
+    if (r.exists) return k;
+  }
+}
+
+TEST(FrontDoorTest, AgreesWithTheEnginesItBypasses) {
+  int acyclic = 0, cyclic_with_ears = 0, disconnected = 0;
+  for (const Hypergraph& h : FrontDoorInstances()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    const GyoReduction gyo = GyoReduce(h);
+    acyclic += gyo.acyclic();
+    cyclic_with_ears += !gyo.acyclic() && !gyo.removal_order.empty();
+    disconnected += !h.IsConnected();
+
+    const HypertreeWidthResult hw = HypertreeWidth(h);
+    ASSERT_TRUE(hw.exact);
+    EXPECT_EQ(hw.width, PlainHypertreeWidth(h));
+    EXPECT_TRUE(ValidateHypertreeDecomposition(h, hw.decomposition).ok());
+    EXPECT_LE(hw.decomposition.Width(), hw.width);
+
+    const ExactGhwResult ghw = ExactGhw(h);
+    ASSERT_TRUE(ghw.exact);
+    const AnytimeGhwResult any = AnytimeGhw(h);
+    EXPECT_LE(any.lower_bound, ghw.upper_bound);
+    EXPECT_GE(any.upper_bound, ghw.upper_bound);
+    EXPECT_TRUE(any.witness.Validate(h).ok());
+    EXPECT_LE(any.witness.Width(), any.upper_bound);
+    if (gyo.acyclic()) {
+      EXPECT_EQ(hw.width, 1);
+      EXPECT_EQ(any.upper_bound, 1);
+      EXPECT_EQ(any.trail.back().engine, "front-door");
+    }
+
+    KDeciderOptions kd4;
+    kd4.num_threads = 4;
+    const HypertreeWidthResult hw4 = HypertreeWidth(h, 0, kd4);
+    EXPECT_EQ(hw4.exact, hw.exact);
+    EXPECT_EQ(hw4.width, hw.width);
+    EXPECT_TRUE(ValidateHypertreeDecomposition(h, hw4.decomposition).ok());
+    AnytimeOptions any4;
+    any4.num_threads = 4;
+    const AnytimeGhwResult any_4 = AnytimeGhw(h, any4);
+    EXPECT_EQ(any_4.lower_bound, any.lower_bound);
+    EXPECT_EQ(any_4.upper_bound, any.upper_bound);
+    EXPECT_EQ(any_4.exact, any.exact);
+    EXPECT_TRUE(any_4.witness.Validate(h).ok());
+  }
+  EXPECT_GT(acyclic, 10);  // every kind of instance is exercised
+  EXPECT_GT(cyclic_with_ears, 10);
+  EXPECT_GT(disconnected, 5);
 }
 
 }  // namespace

@@ -921,7 +921,12 @@ int main(int argc, char** argv) {
           kernels::KernelDispatchName(kernels::SelectedDispatch()));
       // Batch commands have no single instance to profile.
       report.has_stats = !batch_command;
-      if (report.has_stats) report.stats = ComputeStats(h);
+      if (report.has_stats) {
+        // A top-level attribution node of its own: the statistics are part
+        // of the run's wall clock but of no command.
+        GHD_ATTR_SCOPE(stats_attr, "report:instance-stats");
+        report.stats = ComputeStats(h);
+      }
       report.status = exit_code == kExitDecided    ? "exact"
                       : exit_code == kExitTruncated ? "truncated"
                                                     : "error";

@@ -101,14 +101,17 @@ void RunLadder(const Hypergraph& h, int trivial_ub,
   // Rung 3 (tick-free): randomized multi-restart with exact per-bag covers.
   // Its best is also the B&B rung's warm start: restart 0 is the one-restart
   // warm start the B&B would run itself (same seed), so the incumbent is
-  // never worse.
+  // never worse. The restarts stop once one meets rung 1's bound, and the
+  // exact covers they compute stay in `memo` for the B&B.
   std::optional<GhwUpperBoundResult> incumbent;
+  CoverMemo memo(h, CoverMode::kExact);
   if (options.heuristic_restarts > 0) {
     GHD_SPAN_VAR(span, "anytime", "rung:multi-restart");
     GHD_BOARD_RUNG("multi-restart");
     GHD_ATTR_SCOPE(rung_attr, "multi-restart");
     incumbent = GhwUpperBoundMultiRestart(h, options.heuristic_restarts,
-                                          options.seed, CoverMode::kExact);
+                                          options.seed, CoverMode::kExact,
+                                          result.lower_bound, &memo);
     Improve(&result, h, incumbent->ghd, incumbent->width);
     Record(&result, "multi-restart", *root);
     span.SetArg("ub", result.upper_bound);
@@ -162,7 +165,7 @@ void RunLadder(const Hypergraph& h, int trivial_ub,
     ExactGhwResult exact =
         incumbent.has_value()
             ? internal::ExactGhwSeeded(h, exact_options, result.lower_bound,
-                                       std::move(*incumbent))
+                                       std::move(*incumbent), &memo)
             : ExactGhwComponentwise(h, exact_options);
     result.lower_bound = std::max(result.lower_bound, exact.lower_bound);
     Improve(&result, h, std::move(exact.best_ghd), exact.upper_bound);

@@ -20,8 +20,7 @@
 // Both directions of the index are BitMatrix strips (hypergraph/kernels.h):
 // guards_containing_ (one row per vertex over the guard universe) drives the
 // touching-union, guard_bits_ (one row per guard over the vertex universe)
-// drives the batched |guard ∩ conn| / |guard ∩ v_comp| scoring and is shared
-// with the decider's suffix-cover futility rows.
+// drives the batched |guard ∩ conn| / |guard ∩ v_comp| scoring.
 #ifndef GHD_CORE_COVER_INDEX_H_
 #define GHD_CORE_COVER_INDEX_H_
 
@@ -53,10 +52,6 @@ class CoverIndex {
   /// Deterministic in (v_comp, conn).
   void CandidatesFor(const VertexSet& v_comp, const VertexSet& conn,
                      std::vector<int>* out) const;
-
-  /// One row per guard over the vertex universe — the matrix form of
-  /// family.guards, for suffix-cover unions and other batched row reads.
-  const BitMatrix& guard_bits() const { return guard_bits_; }
 
  private:
   const GuardFamily* family_;

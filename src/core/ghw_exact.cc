@@ -4,17 +4,16 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "core/ghw_lower.h"
 #include "core/ghw_upper.h"
+#include "graph/elimination_graph.h"
 #include "hypergraph/components.h"
 #include "obs/obs.h"
 #include "td/lower_bounds.h"
 #include "util/check.h"
-#include "util/hash_mix.h"
-#include "util/set_interner.h"
-#include "util/striped_map.h"
 #include "util/thread_pool.h"
 
 namespace ghd {
@@ -22,16 +21,19 @@ namespace {
 
 // State shared by every branch task of one exact-GHW search: the incumbent
 // (atomic upper bound + mutex-guarded witness ordering), the budget counters,
-// and the striped exact-cover memo. Branch tasks own their elimination prefix
-// and residual graph; everything here is concurrency-safe.
+// and the exact-cover memo. Branch tasks own their elimination prefix and
+// residual graph; everything here is concurrency-safe.
 struct Shared {
-  explicit Shared(int interner_shards) : interner(interner_shards) {}
-
   const Hypergraph* h;
-  VertexSet covered;  // Vertices that occur in some hyperedge.
+  std::vector<char> covered;  // by vertex: occurs in some hyperedge
+  std::vector<int> edge_sizes;  // EdgeSizesDescending(*h)
   ExactGhwOptions options;
   Budget* budget = nullptr;
   ThreadPool* pool = nullptr;
+  // Exact covers are reused heavily across branches (the same bag shows up
+  // under many prefixes) and across the restarts that found the warm start,
+  // so one memo serves the whole ask.
+  CoverMemo* memo = nullptr;
 
   std::atomic<long> nodes{0};
   std::atomic<bool> hit_stop_width{false};
@@ -39,35 +41,28 @@ struct Shared {
   std::mutex best_mu;
   std::vector<int> best_ordering;  // guarded by best_mu
 
-  // Exact cover sizes are reused heavily across branches (the same bag shows
-  // up under many prefixes), so they are memoized search-wide. Bags are
-  // interned and the memo is keyed by the 32-bit id — integer probes, no
-  // bitsets in the map. Ids must not outlive `interner`; both live here.
-  SetInterner interner;
-  StripedMap<uint32_t, int, IdHash> cover_cache;
-
   int Ub() const { return ub.load(std::memory_order_relaxed); }
 
-  // The cover cache never holds truncated values: the cover solver runs
-  // unbudgeted (small exact subproblems), and CoverBag checks it returned.
-  // This is the same cache rule the k-decider follows for its memo — a
-  // truncated run must never poison a cache entry (util/resource_governor.h).
-  int ExactCoverSize(const VertexSet& bag) {
-    bool inserted = false;
-    const uint32_t id = interner.Intern(bag, &inserted);
-    if (!inserted) {
-      if (const int* hit = cover_cache.Find(id)) {
-        GHD_COUNT(kCoverCacheHits);
-        return *hit;
-      }
+  // The memo never holds truncated values: the cover solver runs unbudgeted
+  // (small exact subproblems), and CoverBag checks it returned. This is the
+  // same cache rule the k-decider follows for its memo — a truncated run
+  // must never poison a cache entry (util/resource_governor.h). A bag this
+  // search covers first is charged to the budget.
+  int ExactCoverSize(const std::vector<int>& bag) {
+    bool computed = false;
+    const int size = memo->Cover(bag, nullptr, &computed);
+    if (computed) {
+      GHD_HISTO(kCoverSize, size);
+      budget->Charge(static_cast<size_t>((h->num_vertices() + 63) / 64) * 8 +
+                     sizeof(int));
     }
-    GHD_COUNT(kCoverCacheMisses);
-    const int size =
-        static_cast<int>(CoverBag(*h, bag, CoverMode::kExact).size());
-    GHD_HISTO(kCoverSize, size);
-    budget->Charge(static_cast<size_t>((bag.universe_size() + 63) / 64) * 8 +
-                   sizeof(int));
-    return *cover_cache.Insert(id, size);
+    return size;
+  }
+
+  // {v} ∪ N(v) in g, restricted to covered vertices, ascending.
+  void BagOf(const EliminationGraph& g, int v, std::vector<int>* bag) const {
+    g.ClosedNeighborhood(v, bag);
+    std::erase_if(*bag, [&](int u) { return !covered[u]; });
   }
 
   bool Stopped() const { return budget->Stopped(); }
@@ -102,16 +97,16 @@ struct Search {
   std::vector<char> alive;
   int alive_count = 0;
 
-  void AcceptSolution(int width, const Graph& g) {
+  void AcceptSolution(int width) {
     std::vector<int> ordering = prefix;
-    for (int v = 0; v < g.num_vertices(); ++v) {
+    for (int v = 0; v < static_cast<int>(alive.size()); ++v) {
       if (alive[v]) ordering.push_back(v);
     }
     s->RecordSolution(width, std::move(ordering));
   }
 
-  void EliminateInto(Graph* g, int v) {
-    g->EliminateVertex(v);
+  void EliminateInto(EliminationGraph* g, int v) {
+    g->Eliminate(v);
     prefix.push_back(v);
     alive[v] = 0;
     --alive_count;
@@ -127,26 +122,25 @@ struct Search {
   // cover size of the bags closed so far on this path. `depth` counts real
   // branch levels: at depth 0 with a pool, sibling branches fork as tasks
   // sharing the incumbent for pruning.
-  void Recurse(const Graph& g, int width_so_far, int depth) {
+  void Recurse(const EliminationGraph& g, int width_so_far, int depth) {
     if (s->ShouldStop()) return;
     GHD_BOARD_SET(kFrontierDepth, depth);
 
     if (alive_count == 0) {
-      if (width_so_far < s->Ub()) AcceptSolution(width_so_far, g);
+      if (width_so_far < s->Ub()) AcceptSolution(width_so_far);
       return;
     }
 
     // Finish-now bound: remaining elimination bags are subsets of the
     // remaining vertices, so each costs at most a cover of all of them.
-    VertexSet remaining(g.num_vertices());
+    std::vector<int> bag;
     for (int v = 0; v < g.num_vertices(); ++v) {
-      if (alive[v]) remaining.Set(v);
+      if (alive[v] && s->covered[v]) bag.push_back(v);
     }
-    remaining &= s->covered;
-    const int rest_cost = static_cast<int>(
-        CoverBag(*s->h, remaining, CoverMode::kGreedy).size());
+    const int rest_cost =
+        static_cast<int>(CoverBag(*s->h, bag, CoverMode::kGreedy).size());
     const int finish_now = std::max(width_so_far, rest_cost);
-    if (finish_now < s->Ub()) AcceptSolution(finish_now, g);
+    if (finish_now < s->Ub()) AcceptSolution(finish_now);
     if (rest_cost <= width_so_far) {  // Subtree can't beat finish-now.
       GHD_COUNT(kBnbPruneFinishNow);
       return;
@@ -155,7 +149,7 @@ struct Search {
     // Node lower bound: tw bound on the residual graph, converted through
     // the k-set-cover combination.
     const int tw_lb = MinorMinWidthLowerBound(g);
-    const int node_lb = GhwLowerBoundFromTwBound(*s->h, tw_lb);
+    const int node_lb = GhwLowerBoundFromTwBound(s->edge_sizes, tw_lb);
     if (std::max(width_so_far, node_lb) >= s->Ub()) {
       GHD_COUNT(kBnbPruneLowerBound);
       return;
@@ -166,13 +160,11 @@ struct Search {
     if (s->options.use_simplicial_reduction) {
       for (int v = 0; v < g.num_vertices(); ++v) {
         if (!alive[v] || !g.IsSimplicial(v)) continue;
-        VertexSet bag = g.Neighbors(v);
-        bag.Set(v);
-        bag &= s->covered;
+        s->BagOf(g, v, &bag);
         const int cost = s->ExactCoverSize(bag);
         const int next_width = std::max(width_so_far, cost);
         if (next_width >= s->Ub()) return;
-        Graph next = g;
+        EliminationGraph next = g;
         EliminateInto(&next, v);
         Recurse(next, next_width, depth);  // No branching: same depth.
         UndoEliminate(v);
@@ -184,9 +176,7 @@ struct Search {
     std::vector<std::pair<int, int>> order;  // (cost, vertex)
     for (int v = 0; v < g.num_vertices(); ++v) {
       if (!alive[v]) continue;
-      VertexSet bag = g.Neighbors(v);
-      bag.Set(v);
-      bag &= s->covered;
+      s->BagOf(g, v, &bag);
       order.emplace_back(s->ExactCoverSize(bag), v);
     }
     std::sort(order.begin(), order.end());
@@ -218,7 +208,7 @@ struct Search {
           branch.prefix = prefix;
           branch.alive = alive;
           branch.alive_count = alive_count;
-          Graph next = g;
+          EliminationGraph next = g;
           branch.EliminateInto(&next, v);
           branch.Recurse(next, next_width, 1);
         });
@@ -233,7 +223,7 @@ struct Search {
         GHD_COUNT(kBnbPruneIncumbent);
         continue;
       }
-      Graph next = g;
+      EliminationGraph next = g;
       EliminateInto(&next, v);
       Recurse(next, next_width, depth + 1);
       UndoEliminate(v);
@@ -249,6 +239,7 @@ struct Search {
 struct Seed {
   int lower_bound = 0;
   GhwUpperBoundResult incumbent;
+  CoverMemo* memo = nullptr;  // the caller's exact covers of h, if any
 };
 
 // Without a seed the search computes both itself.
@@ -261,23 +252,34 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
     return result;
   }
 
-  Shared shared(pool != nullptr ? 16 : 1);
+  std::optional<CoverMemo> own_memo;
+  CoverMemo* memo = seed != nullptr ? seed->memo : nullptr;
+  if (memo == nullptr) memo = &own_memo.emplace(h, CoverMode::kExact);
+  GHD_CHECK(&memo->hypergraph() == &h && memo->mode() == CoverMode::kExact);
+
+  Shared shared;
   shared.h = &h;
-  shared.covered = h.CoveredVertices();
+  const std::vector<int32_t>& voff = h.Flat().vertex_offsets();
+  shared.covered.resize(h.num_vertices());
+  for (int v = 0; v < h.num_vertices(); ++v) {
+    shared.covered[v] = voff[v + 1] > voff[v];
+  }
+  shared.edge_sizes = EdgeSizesDescending(h);
   shared.options = options;
   shared.budget = budget;
   shared.pool = pool;
-  const Graph primal = h.PrimalGraph();
+  shared.memo = memo;
+  const EliminationGraph primal(h.Flat());
 
+  const int root_lb = seed != nullptr ? seed->lower_bound : GhwLowerBound(h);
   // Incumbent from randomized heuristics with exact covers.
   GhwUpperBoundResult warm =
       seed != nullptr ? std::move(seed->incumbent)
                       : GhwUpperBoundMultiRestart(
                             h, std::max(1, options.heuristic_restarts),
-                            options.seed, CoverMode::kExact);
+                            options.seed, CoverMode::kExact, root_lb, memo);
   shared.ub.store(warm.width, std::memory_order_relaxed);
 
-  const int root_lb = seed != nullptr ? seed->lower_bound : GhwLowerBound(h);
   if (root_lb >= warm.width ||
       (options.stop_at_width > 0 && warm.width <= options.stop_at_width)) {
     result.lower_bound = root_lb;
@@ -313,7 +315,7 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
   } else {
     result.best_ordering = shared.best_ordering;
     GhwUpperBoundResult witness =
-        GhwFromOrdering(h, shared.best_ordering, CoverMode::kExact);
+        GhwFromOrdering(h, shared.best_ordering, CoverMode::kExact, memo);
     GHD_CHECK(witness.width <= result.upper_bound);
     result.upper_bound = witness.width;
     result.best_ghd = std::move(witness.ghd);
@@ -341,11 +343,11 @@ namespace internal {
 
 ExactGhwResult ExactGhwSeeded(const Hypergraph& h,
                               const ExactGhwOptions& options, int lower_bound,
-                              GhwUpperBoundResult incumbent) {
+                              GhwUpperBoundResult incumbent, CoverMemo* memo) {
   if (ConnectedEdgeComponents(h).size() > 1) {
     return ExactGhwComponentwise(h, options);
   }
-  Seed seed{lower_bound, std::move(incumbent)};
+  Seed seed{lower_bound, std::move(incumbent), memo};
   return ExactGhwWithSeed(h, options, &seed);
 }
 

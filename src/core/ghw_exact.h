@@ -83,12 +83,14 @@ namespace internal {
 /// ExactGhwComponentwise for a caller that already holds a lower bound on
 /// ghw(h) and an incumbent (a GhwFromOrdering result on h with exact covers)
 /// — AnytimeGhw's rungs 1 and 3. On a connected h the search starts from
-/// them instead of computing GhwLowerBound and its own warm start; neither
-/// is per component, so a disconnected h is solved as ExactGhwComponentwise
-/// solves it.
+/// them instead of computing GhwLowerBound and its own warm start, and
+/// covers bags through the caller's `memo` (exact covers of h; null = a memo
+/// of this search). None of them is per component, so a disconnected h is
+/// solved as ExactGhwComponentwise solves it.
 ExactGhwResult ExactGhwSeeded(const Hypergraph& h,
                               const ExactGhwOptions& options, int lower_bound,
-                              GhwUpperBoundResult incumbent);
+                              GhwUpperBoundResult incumbent,
+                              CoverMemo* memo = nullptr);
 
 }  // namespace internal
 

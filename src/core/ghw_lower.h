@@ -4,18 +4,27 @@
 #ifndef GHD_CORE_GHW_LOWER_H_
 #define GHD_CORE_GHW_LOWER_H_
 
+#include <vector>
+
 #include "hypergraph/hypergraph.h"
 
 namespace ghd {
 
 /// Lower bound on ghw(H): the smallest k such that the k largest hyperedges
 /// can reach (treewidth-lower-bound + 1) vertices, i.e. the tw × k-set-cover
-/// combination. Returns 0 for the empty hypergraph.
+/// combination. The treewidth bound runs on the sparse primal graph built
+/// from h's flat CSRs. Returns 0 for the empty hypergraph.
 int GhwLowerBound(const Hypergraph& h);
 
-/// Same combination but from an explicit treewidth lower bound (used by the
-/// exact GHW search on residual graphs where the caller already has one).
-int GhwLowerBoundFromTwBound(const Hypergraph& h, int tw_lower_bound);
+/// h's edge sizes, largest first.
+std::vector<int> EdgeSizesDescending(const Hypergraph& h);
+
+/// Same combination but from an explicit treewidth lower bound, for a
+/// hypergraph with edge sizes EdgeSizesDescending(h) (used by the exact GHW
+/// search on residual graphs, where the caller already has one, once per
+/// node).
+int GhwLowerBoundFromTwBound(const std::vector<int>& sizes_descending,
+                             int tw_lower_bound);
 
 }  // namespace ghd
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -130,6 +129,51 @@ struct CancelToken {
 
   std::atomic<bool> flag{false};
   const CancelToken* parent;
+};
+
+// One state's connector bookkeeping for the λ-enumeration, over the
+// connector's own members: bit j stands for the j-th vertex of conn. Row i
+// of the guard rows is guards[candidates[i]] ∩ conn, and suffix row i the
+// union of guard rows i, i+1, ... (the last suffix row is empty). A branch
+// only asks which connector vertices no chosen guard covers yet, and that
+// set is always inside conn, so these rows of a few words give the same
+// answers as n-bit rows would. The decider recurses about m/2 states deep on
+// a cycle, each state holding its rows, so their size is the decider's peak
+// memory: O(|candidates| * |conn| / 64) words, not O(|candidates| * n / 64).
+struct ConnRows {
+  ConnRows(const VertexSet& conn, const std::vector<int>& candidates,
+           const GuardFamily& family)
+      : members(conn.Count()),
+        words((members + 63) / 64),
+        count(candidates.size()),
+        data((2 * count + 1) * words, 0) {
+    for (size_t i = 0; i < count; ++i) {
+      const VertexSet& guard = family.guards[candidates[i]];
+      uint64_t* row = data.data() + i * words;
+      int j = 0;
+      conn.ForEach([&](int v) {
+        if (guard.Test(v)) row[j >> 6] |= uint64_t{1} << (j & 63);
+        ++j;
+      });
+    }
+    for (size_t i = count; i-- > 0;) {
+      const uint64_t* next = Suffix(i + 1);
+      const uint64_t* guard = data.data() + i * words;
+      uint64_t* row = data.data() + (count + i) * words;
+      for (int w = 0; w < words; ++w) row[w] = next[w] | guard[w];
+    }
+  }
+
+  // Guard row i over the members.
+  const uint64_t* Guard(size_t i) const { return data.data() + i * words; }
+  const uint64_t* Suffix(size_t i) const {
+    return data.data() + (count + i) * words;
+  }
+
+  int members;
+  int words;
+  size_t count;
+  std::vector<uint64_t> data;  // count guard rows, then count + 1 suffix rows
 };
 
 // Forks only spawn pool tasks this many fork-levels deep; below the ceiling
@@ -310,21 +354,21 @@ struct Decider {
 
   // Enumerates guard subsets of size <= k over `candidates`, evaluating each
   // complete connector-covering choice; returns true on first success.
-  // `suffix_cover` row i is the union of guards[candidates[i..]]: a branch
-  // whose remaining connector is not inside the suffix union can never
+  // `conn_left` is the part of the connector no chosen guard covers yet, over
+  // the connector's members (ConnRows). A branch whose remaining connector is
+  // not inside the suffix union of the candidates still open can never
   // complete a cover, so the whole subtree is pruned with one subset test
-  // against the contiguous matrix row.
+  // against a suffix row.
   bool EnumerateLambda(const StateKey& key, const VertexSet& comp,
                        const VertexSet& conn, const VertexSet& v_comp,
                        const std::vector<int>& candidates,
-                       const BitMatrix& suffix_cover, size_t from,
+                       const ConnRows& rows, size_t from,
                        std::vector<int>* lambda, const VertexSet& conn_left,
                        const CancelToken* cancel, int depth,
                        StateValue* value) {
     if (cancel->Cancelled()) return false;
-    if (!kernels::IsSubset(conn_left.word_data(),
-                           suffix_cover.row(static_cast<int>(from)),
-                           conn_left.word_count())) {
+    if (!kernels::IsSubset(conn_left.word_data(), rows.Suffix(from),
+                           rows.words)) {
       return false;
     }
     if (!Tick()) return false;  // Bound the subset enumeration itself.
@@ -336,12 +380,11 @@ struct Decider {
     }
     if (static_cast<int>(lambda->size()) == k) return false;
     for (size_t i = from; i < candidates.size(); ++i) {
-      const int g = candidates[i];
-      lambda->push_back(g);
+      lambda->push_back(candidates[i]);
       VertexSet next_conn = conn_left;
-      next_conn -= family->guards[g];
-      if (EnumerateLambda(key, comp, conn, v_comp, candidates, suffix_cover,
-                          i + 1, lambda, next_conn, cancel, depth, value)) {
+      next_conn.SubtractWords(rows.Guard(i));
+      if (EnumerateLambda(key, comp, conn, v_comp, candidates, rows, i + 1,
+                          lambda, next_conn, cancel, depth, value)) {
         return true;
       }
       lambda->pop_back();
@@ -359,21 +402,18 @@ struct Decider {
   bool EnumerateLambdaParallel(const StateKey& key, const VertexSet& comp,
                                const VertexSet& conn, const VertexSet& v_comp,
                                const std::vector<int>& candidates,
-                               const BitMatrix& suffix_cover,
+                               const ConnRows& rows,
                                const CancelToken* cancel, int depth,
                                StateValue* out) {
     if (!Tick()) return false;  // The enumeration root, as in sequential.
     auto try_partition = [this, &key, &comp, &conn, &v_comp, &candidates,
-                          &suffix_cover, depth](size_t i,
-                                                const CancelToken* token,
-                                                StateValue* value) {
-      const int g = candidates[i];
-      std::vector<int> lambda(1, g);
-      VertexSet conn_left = conn;
-      conn_left -= family->guards[g];
-      return EnumerateLambda(key, comp, conn, v_comp, candidates, suffix_cover,
-                             i + 1, &lambda, conn_left, token, depth + 1,
-                             value);
+                          &rows, depth](size_t i, const CancelToken* token,
+                                        StateValue* value) {
+      std::vector<int> lambda(1, candidates[i]);
+      VertexSet conn_left = VertexSet::Full(rows.members);
+      conn_left.SubtractWords(rows.Guard(i));
+      return EnumerateLambda(key, comp, conn, v_comp, candidates, rows, i + 1,
+                             &lambda, conn_left, token, depth + 1, value);
     };
     if (try_partition(0, cancel, out)) return true;
     if (candidates.size() <= 1 || OutOfBudget() || cancel->Cancelled()) {
@@ -434,30 +474,20 @@ struct Decider {
     // can contribute to chi, connector-covering ones first.
     std::vector<int> candidates;
     index->CandidatesFor(v_comp, conn, &candidates);
-    // Suffix cover unions for the futility prune in EnumerateLambda, one
-    // matrix row per suffix: row i = row i+1 | guard_bits[candidates[i]],
-    // built back to front with whole-row kernel ops. One O(|candidates|)
-    // pass here saves whole subset subtrees per state.
-    const BitMatrix& guard_bits = index->guard_bits();
-    BitMatrix suffix_cover(static_cast<int>(candidates.size()) + 1,
-                           h->num_vertices());
-    const int stride = suffix_cover.stride_words();
-    for (size_t i = candidates.size(); i-- > 0;) {
-      const int row = static_cast<int>(i);
-      std::memcpy(suffix_cover.row(row), suffix_cover.row(row + 1),
-                  sizeof(uint64_t) * stride);
-      kernels::OrInto(suffix_cover.row(row), guard_bits.row(candidates[i]),
-                      guard_bits.logical_words());
-    }
+    // The candidates' connector rows and their suffix unions for the
+    // futility prune in EnumerateLambda. One O(|candidates| * |conn|) pass
+    // here saves whole subset subtrees per state.
+    const ConnRows rows(conn, candidates, *family);
     StateValue value;
     bool ok;
     if (ShouldFork(depth, candidates.size())) {
-      ok = EnumerateLambdaParallel(key, comp, conn, v_comp, candidates,
-                                   suffix_cover, cancel, depth, &value);
+      ok = EnumerateLambdaParallel(key, comp, conn, v_comp, candidates, rows,
+                                   cancel, depth, &value);
     } else {
       std::vector<int> lambda;
-      ok = EnumerateLambda(key, comp, conn, v_comp, candidates, suffix_cover,
-                           0, &lambda, conn, cancel, depth, &value);
+      ok = EnumerateLambda(key, comp, conn, v_comp, candidates, rows, 0,
+                           &lambda, VertexSet::Full(rows.members), cancel,
+                           depth, &value);
     }
     if (ok) {
       // Successes are complete witnesses regardless of cancellation or

@@ -21,6 +21,7 @@ namespace {
 HypertreeWidthResult KLadder(const Hypergraph& h, int start, int max_k,
                              const KDeciderOptions& options) {
   HypertreeWidthResult result;
+  result.lower_bound = start;
   const GuardFamily family = OriginalEdgesFamily(h);
   KLadderContext ladder(h, family, options.num_threads);
   for (int k = start; k <= max_k; ++k) {
@@ -92,7 +93,7 @@ HypertreeWidthResult HypertreeWidth(const Hypergraph& h, int max_k,
   GeneralizedHypertreeDecomposition base;
   if (cyclic.empty()) {
     result.exact = true;
-    result.width = 1;
+    result.width = result.lower_bound = 1;
   } else {
     const Hypergraph part = EdgeSubhypergraph(h, cyclic);
     result = KLadder(part, std::max(1, GhwLowerBound(part)), max_k, options);

@@ -23,6 +23,10 @@ struct HypertreeWidthResult {
   bool exact = false;
   /// Largest k with hw(H) > k established before stopping (lower bound - 1).
   int last_failed_k = 0;
+  /// The k the ladder started from, a bound known before any rung ran:
+  /// hw(H) >= lower_bound, since it is GhwLowerBound and ghw <= hw. A
+  /// truncated run has hw(H) >= max(last_failed_k + 1, lower_bound).
+  int lower_bound = 0;
   GeneralizedHypertreeDecomposition decomposition;
   long states_visited = 0;
   /// Why the iteration stopped; carried over from the last k-decider run.

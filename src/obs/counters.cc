@@ -31,6 +31,7 @@ const char* const kCounterNames[kNumCounters] = {
     "detk_iterations",
     "cover_cache_hits",
     "cover_cache_misses",
+    "ub_restarts_pruned",
     "dp_cells",
     "subedges_generated",
     "guards_dominated",

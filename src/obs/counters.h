@@ -45,9 +45,14 @@ enum class Counter : int {
   kDeciderCancels,      // cancel tokens fired (sibling won / sibling failed)
   kDeciderUnprovenFalse,// negative results discarded because of truncation
   kDetKIterations,      // k values tried by the hw(H) iteration
-  // Exact-cover memo shared by the GHW engines (ghw_exact, ghw_dp).
+  // Cover memos: the per-ask CoverMemo shared by the multi-restart rung and
+  // the exact B&B (core/ghw_upper, ghw_exact), and the subset DP's own
+  // (core/ghw_dp).
   kCoverCacheHits,
   kCoverCacheMisses,
+  // Multi-restart upper bound (core/ghw_upper).
+  kUbRestartsPruned,    // restarts abandoned once their width reached the
+                        // incumbent's
   // Subset DP (core/ghw_dp).
   kDpCells,             // DP cells solved
   // Subedge closures (core/bip, core/tree_projection).

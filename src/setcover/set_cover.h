@@ -6,6 +6,7 @@
 #ifndef GHD_SETCOVER_SET_COVER_H_
 #define GHD_SETCOVER_SET_COVER_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -61,6 +62,37 @@ int SetCoverLowerBound(const VertexSet& target,
 /// vertices, given candidate sets: smallest k with (sum of k largest set
 /// sizes) >= count. Used by the GHW lower bound (tw x k-set-cover).
 int CoverCountLowerBound(int count, const std::vector<VertexSet>& sets);
+/// The same bound from the set sizes, sorted largest first.
+int CoverCountLowerBoundFromSizes(int count,
+                                  const std::vector<int>& sizes_descending);
+
+namespace internal {
+
+/// Candidate sets as rows of one word array: set s is the `words` words at
+/// data + s * words, over a universe of `universe` elements (bits at or
+/// above it are zero). The solvers below run on this form; the
+/// std::vector<VertexSet> entry points above pack their sets into it.
+struct SetRows {
+  int universe = 0;
+  int words = 0;
+  int count = 0;
+  const uint64_t* data = nullptr;
+
+  const uint64_t* row(int s) const {
+    return data + static_cast<size_t>(s) * words;
+  }
+};
+
+/// GreedySetCover over rows; `target` has sets.words words.
+std::vector<int> GreedySetCover(const uint64_t* target, const SetRows& sets,
+                                Rng* rng = nullptr);
+
+/// ExactSetCover over rows; `target` has sets.words words.
+std::optional<std::vector<int>> ExactSetCover(
+    const uint64_t* target, const SetRows& sets,
+    const ExactSetCoverOptions& options = {});
+
+}  // namespace internal
 
 }  // namespace ghd
 

@@ -1,102 +1,123 @@
 #include "td/lower_bounds.h"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 namespace ghd {
 namespace {
 
-// A working copy of the graph that keeps every vertex degree in an array,
-// updated on isolate and contract, so the bounds below read degrees instead
-// of popcounting adjacency rows. Isolated vertices have degree 0 and never
-// come back, so "alive" is simply degree >= 1.
+// A working copy of the graph with its vertices of degree >= 1 in a lazy
+// min-heap keyed by (degree, id). Isolate and Contract push a fresh key for
+// every vertex whose degree they change; a key is current while its degree
+// matches, and stale keys are dropped as they surface. So the top current
+// key is the lowest-id vertex of minimum degree, and popping yields the
+// active vertices in (degree, id) order. Isolated vertices never return, so
+// "alive" is simply degree >= 1.
 class DegreeGraph {
  public:
-  explicit DegreeGraph(const Graph& g) : g_(g), degree_(g.num_vertices()) {
-    for (int v = 0; v < g.num_vertices(); ++v) degree_[v] = g.Degree(v);
+  explicit DegreeGraph(const EliminationGraph& g) : g_(g) {
+    for (int v = 0; v < g_.num_vertices(); ++v) {
+      if (g_.Degree(v) >= 1) heap_.push_back(KeyOf(v));
+    }
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
   }
 
-  int num_vertices() const { return g_.num_vertices(); }
-  int Degree(int v) const { return degree_[v]; }
+  int Degree(int v) const { return g_.Degree(v); }
   bool HasEdge(int u, int v) const { return g_.HasEdge(u, v); }
 
   // Lowest-id vertex of minimum degree among those with degree >= 1; -1 when
   // the graph has no edges left.
-  int MinDegreeVertex() const {
-    int best = -1;
-    int best_deg = num_vertices() + 1;
-    for (int v = 0; v < num_vertices(); ++v) {
-      const int d = degree_[v];
-      if (d >= 1 && d < best_deg) {
-        best_deg = d;
-        best = v;
-      }
+  int MinDegreeVertex() {
+    while (!heap_.empty()) {
+      if (Current(heap_.front())) return IdOf(heap_.front());
+      Pop();
     }
-    return best;
+    return -1;
   }
 
   // Lowest-id neighbor of v of minimum degree.
   int MinDegreeNeighbor(int v) const {
     int best = -1;
-    int best_deg = num_vertices() + 1;
-    g_.Neighbors(v).ForEach([&](int u) {
-      if (degree_[u] < best_deg) {
-        best_deg = degree_[u];
+    int best_deg = g_.num_vertices() + 1;
+    for (int u : g_.Neighbors(v)) {
+      if (g_.Degree(u) < best_deg) {
+        best_deg = g_.Degree(u);
         best = u;
       }
-    });
+    }
     return best;
   }
 
   void Isolate(int v) {
-    g_.Neighbors(v).ForEach([&](int u) { --degree_[u]; });
-    degree_[v] = 0;
-    g_.IsolateVertex(v);
+    SaveNeighbors(v);
+    g_.Isolate(v);
+    Requeue();
   }
 
-  // Contracts edge {u, v} into u (Graph::ContractEdge), keeping degrees:
-  // every neighbor of v loses v, and those not yet adjacent to u gain u.
+  // Contracts edge {u, v} into u (EliminationGraph::Contract). The degrees
+  // that change are u's and those of v's other neighbors.
   void Contract(int u, int v) {
-    g_.Neighbors(v).ForEach([&](int w) {
-      --degree_[w];
-      if (w != u && !g_.HasEdge(u, w)) {
-        ++degree_[u];
-        ++degree_[w];
-      }
-    });
-    degree_[v] = 0;
-    g_.ContractEdge(u, v);
+    SaveNeighbors(v);
+    g_.Contract(u, v);
+    Requeue();
   }
 
-  // Vertices of degree >= 1 ordered by (degree, id): a counting sort on the
-  // degree array, ids ascending within each degree.
-  void ActiveByDegree(std::vector<int>* out) {
-    const int n = num_vertices();
-    bucket_start_.assign(n + 1, 0);
-    for (int v = 0; v < n; ++v) {
-      if (degree_[v] >= 1) ++bucket_start_[degree_[v]];
+  // Takes current keys off the heap in (degree, id) order while `more(v)`
+  // asks for the next vertex v, then puts them back. Returns how many
+  // vertices `more` saw.
+  template <typename More>
+  int VisitByDegree(More more) {
+    taken_.clear();
+    bool go_on = true;
+    while (go_on && !heap_.empty()) {
+      const uint64_t key = heap_.front();
+      Pop();
+      if (!Current(key) || (!taken_.empty() && taken_.back() == key)) continue;
+      taken_.push_back(key);
+      go_on = more(IdOf(key));
     }
-    int total = 0;
-    for (int& b : bucket_start_) {
-      const int count = b;
-      b = total;
-      total += count;
-    }
-    out->resize(total);
-    for (int v = 0; v < n; ++v) {
-      if (degree_[v] >= 1) (*out)[bucket_start_[degree_[v]]++] = v;
-    }
+    for (uint64_t key : taken_) Push(key);
+    return static_cast<int>(taken_.size());
   }
 
  private:
-  Graph g_;
-  std::vector<int> degree_;
-  std::vector<int> bucket_start_;
+  static int IdOf(uint64_t key) { return static_cast<int>(key & 0xffffffffu); }
+  uint64_t KeyOf(int v) const {
+    return (static_cast<uint64_t>(g_.Degree(v)) << 32) |
+           static_cast<uint32_t>(v);
+  }
+  bool Current(uint64_t key) const {
+    const int v = IdOf(key);
+    return g_.Degree(v) >= 1 && key == KeyOf(v);
+  }
+  void Push(uint64_t key) {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  }
+  void Pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    heap_.pop_back();
+  }
+  void SaveNeighbors(int v) {
+    const auto nv = g_.Neighbors(v);
+    changed_.assign(nv.begin(), nv.end());
+  }
+  void Requeue() {
+    for (int w : changed_) {
+      if (g_.Degree(w) >= 1) Push(KeyOf(w));
+    }
+  }
+
+  EliminationGraph g_;
+  std::vector<uint64_t> heap_;
+  std::vector<int> changed_;
+  std::vector<uint64_t> taken_;
 };
 
 }  // namespace
 
-int DegeneracyLowerBound(const Graph& g) {
+int DegeneracyLowerBound(const EliminationGraph& g) {
   DegreeGraph work(g);
   int lb = 0;
   while (true) {
@@ -108,7 +129,7 @@ int DegeneracyLowerBound(const Graph& g) {
   return lb;
 }
 
-int MinorMinWidthLowerBound(const Graph& g) {
+int MinorMinWidthLowerBound(const EliminationGraph& g) {
   DegreeGraph work(g);
   int lb = 0;
   while (true) {
@@ -123,28 +144,30 @@ int MinorMinWidthLowerBound(const Graph& g) {
   return lb;
 }
 
-int GammaRLowerBound(const Graph& g) {
+int GammaRLowerBound(const EliminationGraph& g) {
   DegreeGraph work(g);
-  std::vector<int> active;
+  std::vector<int> prefix;
   int lb = 0;
   while (true) {
-    // Isolated vertices drop out; gamma concerns the connected remainder.
-    work.ActiveByDegree(&active);
-    if (active.empty()) break;
-    // First vertex in ascending-degree order missing an edge to some
-    // predecessor; its degree is gamma_R of the current minor.
+    // Walk the active vertices (isolated ones drop out) in ascending-degree
+    // order up to the first one missing an edge to some predecessor; its
+    // degree is gamma_R of the current minor.
+    prefix.clear();
     int chosen = -1;
-    for (size_t i = 1; i < active.size() && chosen < 0; ++i) {
-      for (size_t j = 0; j < i; ++j) {
-        if (!work.HasEdge(active[i], active[j])) {
-          chosen = active[i];
-          break;
+    const int seen = work.VisitByDegree([&](int v) {
+      for (int p : prefix) {
+        if (!work.HasEdge(v, p)) {
+          chosen = v;
+          return false;
         }
       }
-    }
+      prefix.push_back(v);
+      return true;
+    });
+    if (seen == 0) break;
     if (chosen < 0) {
       // The active vertices form a clique: treewidth >= |clique| - 1.
-      lb = std::max(lb, static_cast<int>(active.size()) - 1);
+      lb = std::max(lb, seen - 1);
       break;
     }
     lb = std::max(lb, work.Degree(chosen));
@@ -153,10 +176,23 @@ int GammaRLowerBound(const Graph& g) {
   return lb;
 }
 
-int TreewidthLowerBound(const Graph& g) {
+int TreewidthLowerBound(const EliminationGraph& g) {
   const int mmw = MinorMinWidthLowerBound(g);
   const int gr = GammaRLowerBound(g);
   return std::max(mmw, gr);
+}
+
+int DegeneracyLowerBound(const Graph& g) {
+  return DegeneracyLowerBound(EliminationGraph(g));
+}
+int MinorMinWidthLowerBound(const Graph& g) {
+  return MinorMinWidthLowerBound(EliminationGraph(g));
+}
+int GammaRLowerBound(const Graph& g) {
+  return GammaRLowerBound(EliminationGraph(g));
+}
+int TreewidthLowerBound(const Graph& g) {
+  return TreewidthLowerBound(EliminationGraph(g));
 }
 
 }  // namespace ghd

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "util/check.h"
+#include "util/tournament_tree.h"
 
 namespace ghd {
 namespace {
@@ -11,44 +12,44 @@ namespace {
 // Repeatedly eliminates the vertex minimizing `score`, with deterministic or
 // randomized tie-breaking. `score(work, v)` may read only v's neighborhood
 // and the edges among it. Eliminating x changes exactly the neighborhoods of
-// N(x) and the edges among the neighborhoods of N(N(x)), so only those
-// cached scores are recomputed; the pick still scans all vertices by
-// ascending id, so tie lists and Rng draws are those of a full rescoring.
-template <typename ScoreFn>
-std::vector<int> GreedyEliminate(const Graph& g, Rng* rng, ScoreFn score) {
-  Graph work = g;
+// N(x) and, when kSecondRing is set (scores that read the edges among a
+// neighborhood), the edges among the neighborhoods of N(N(x)); only those
+// cached scores are recomputed. The pick is the lowest id of minimum score,
+// or the Rng's choice among all tied ids in ascending order: the tie lists
+// and Rng draws of a full rescan of every vertex.
+template <bool kSecondRing, typename ScoreFn>
+std::vector<int> GreedyEliminate(const EliminationGraph& g, Rng* rng,
+                                 ScoreFn score) {
+  EliminationGraph work = g;
   const int n = g.num_vertices();
-  std::vector<char> alive(n, 1);
-  std::vector<long> cached(n);
-  for (int v = 0; v < n; ++v) cached[v] = score(work, v);
+  TournamentTree scores(n);
+  for (int v = 0; v < n; ++v) scores.Init(v, score(work, v));
+  scores.Rebuild();
   std::vector<int> ordering;
   ordering.reserve(n);
-  std::vector<int> tied;
+  std::vector<int32_t> neighbors;
+  std::vector<int> rescored_at(n, -1);
   for (int step = 0; step < n; ++step) {
-    long best = std::numeric_limits<long>::max();
-    tied.clear();
-    for (int v = 0; v < n; ++v) {
-      if (!alive[v]) continue;
-      const long s = cached[v];
-      if (s < best) {
-        best = s;
-        tied.assign(1, v);
-      } else if (s == best && rng != nullptr) {
-        tied.push_back(v);
+    const int ties = scores.Ties();
+    const int pick = scores.Tied(rng != nullptr && ties > 1
+                                     ? rng->UniformInt(ties)
+                                     : 0);
+    ordering.push_back(pick);
+    scores.Set(pick, TournamentTree::kNone);
+    const auto current = work.Neighbors(pick);
+    neighbors.assign(current.begin(), current.end());
+    work.Eliminate(pick);
+    auto rescore = [&](int u) {
+      if (rescored_at[u] == step) return;
+      rescored_at[u] = step;
+      scores.Set(u, score(work, u));
+    };
+    for (int u : neighbors) rescore(u);
+    if (kSecondRing) {
+      for (int u : neighbors) {
+        for (int w : work.Neighbors(u)) rescore(w);
       }
     }
-    const int pick = (rng != nullptr && tied.size() > 1)
-                         ? tied[rng->UniformInt(static_cast<int>(tied.size()))]
-                         : tied.front();
-    ordering.push_back(pick);
-    alive[pick] = 0;
-    const VertexSet neighbors = work.Neighbors(pick);
-    work.EliminateVertex(pick);
-    VertexSet stale = neighbors;
-    neighbors.ForEach([&](int u) { stale |= work.Neighbors(u); });
-    stale.ForEach([&](int u) {
-      if (alive[u]) cached[u] = score(work, u);
-    });
   }
   return ordering;
 }
@@ -71,20 +72,20 @@ std::string OrderingHeuristicName(OrderingHeuristic h) {
   return "unknown";
 }
 
-std::vector<int> MinFillOrdering(const Graph& g, Rng* rng) {
-  return GreedyEliminate(
-      g, rng, [](const Graph& work, int v) -> long {
-        return work.EliminationFill(v);
+std::vector<int> MinFillOrdering(const EliminationGraph& g, Rng* rng) {
+  return GreedyEliminate<true>(
+      g, rng,
+      [](const EliminationGraph& work, int v) { return work.FillIn(v); });
+}
+
+std::vector<int> MinDegreeOrdering(const EliminationGraph& g, Rng* rng) {
+  return GreedyEliminate<false>(
+      g, rng, [](const EliminationGraph& work, int v) -> long {
+        return work.Degree(v);
       });
 }
 
-std::vector<int> MinDegreeOrdering(const Graph& g, Rng* rng) {
-  return GreedyEliminate(g, rng, [](const Graph& work, int v) -> long {
-    return work.Degree(v);
-  });
-}
-
-std::vector<int> McsOrdering(const Graph& g, Rng* rng) {
+std::vector<int> McsOrdering(const EliminationGraph& g, Rng* rng) {
   const int n = g.num_vertices();
   std::vector<int> weight(n, 0);
   std::vector<char> visited(n, 0);
@@ -108,17 +109,29 @@ std::vector<int> McsOrdering(const Graph& g, Rng* rng) {
                          : tied.front();
     visited[pick] = 1;
     visit_order.push_back(pick);
-    g.Neighbors(pick).ForEach([&](int u) {
+    for (int u : g.Neighbors(pick)) {
       if (!visited[u]) ++weight[u];
-    });
+    }
   }
   // MCS visits toward the "top" of the ordering; eliminate in reverse.
   std::reverse(visit_order.begin(), visit_order.end());
   return visit_order;
 }
 
-std::vector<int> ComputeOrdering(const Graph& g, OrderingHeuristic heuristic,
-                                 Rng* rng) {
+std::vector<int> MinFillOrdering(const Graph& g, Rng* rng) {
+  return MinFillOrdering(EliminationGraph(g), rng);
+}
+
+std::vector<int> MinDegreeOrdering(const Graph& g, Rng* rng) {
+  return MinDegreeOrdering(EliminationGraph(g), rng);
+}
+
+std::vector<int> McsOrdering(const Graph& g, Rng* rng) {
+  return McsOrdering(EliminationGraph(g), rng);
+}
+
+std::vector<int> ComputeOrdering(const EliminationGraph& g,
+                                 OrderingHeuristic heuristic, Rng* rng) {
   switch (heuristic) {
     case OrderingHeuristic::kMinFill:
       return MinFillOrdering(g, rng);
@@ -145,6 +158,11 @@ std::vector<int> ComputeOrdering(const Graph& g, OrderingHeuristic heuristic,
   }
   GHD_CHECK(false);
   return {};
+}
+
+std::vector<int> ComputeOrdering(const Graph& g, OrderingHeuristic heuristic,
+                                 Rng* rng) {
+  return ComputeOrdering(EliminationGraph(g), heuristic, rng);
 }
 
 }  // namespace ghd

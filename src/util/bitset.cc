@@ -109,6 +109,12 @@ VertexSet& VertexSet::operator-=(const VertexSet& o) {
   return *this;
 }
 
+VertexSet& VertexSet::SubtractWords(const uint64_t* row) {
+  uint64_t* a = words();
+  for (int i = 0; i < num_words_; ++i) a[i] &= ~row[i];
+  return *this;
+}
+
 bool VertexSet::operator<(const VertexSet& o) const {
   if (size_ != o.size_) return size_ < o.size_;
   const uint64_t* a = words();

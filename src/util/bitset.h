@@ -164,6 +164,9 @@ class VertexSet {
   VertexSet& operator&=(const VertexSet& o);
   /// Set difference: removes all elements of `o`.
   VertexSet& operator-=(const VertexSet& o);
+  /// Set difference with a raw row of word_count() words over the same
+  /// universe (a BitMatrix row, say), without building a set from it.
+  VertexSet& SubtractWords(const uint64_t* row);
 
   friend VertexSet operator|(VertexSet a, const VertexSet& b) { return a |= b; }
   friend VertexSet operator&(VertexSet a, const VertexSet& b) { return a &= b; }

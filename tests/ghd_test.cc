@@ -216,8 +216,8 @@ TEST(GhwLowerTest, EmptyHypergraph) {
 TEST(GhwLowerTest, FromExplicitTwBound) {
   Hypergraph h = CliqueHypergraph(6);
   // With tw >= 5, a 6-vertex bag must be covered by 2-sets: >= 3.
-  EXPECT_EQ(GhwLowerBoundFromTwBound(h, 5), 3);
-  EXPECT_EQ(GhwLowerBoundFromTwBound(h, 0), 1);
+  EXPECT_EQ(GhwLowerBoundFromTwBound(EdgeSizesDescending(h), 5), 3);
+  EXPECT_EQ(GhwLowerBoundFromTwBound(EdgeSizesDescending(h), 0), 1);
 }
 
 }  // namespace

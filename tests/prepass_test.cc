@@ -1,34 +1,45 @@
 // Differential tests for the pre-passes that run before (or instead of) the
 // exact width engines: the treewidth lower bounds, the GYO reduction, the
-// greedy elimination orderings, the greedy set cover, the per-bag covers and
-// the structural statistics (intersection widths, connectivity). The GYO
-// front door of HypertreeWidth and AnytimeGhw is swept against the engines
-// it bypasses.
+// greedy elimination orderings, the greedy and exact set covers, the per-bag
+// covers, bucket elimination, the multi-restart upper bound, the exact GHW
+// branch and bound and the structural statistics (intersection widths,
+// connectivity). The GYO front door of HypertreeWidth and AnytimeGhw is
+// swept against the engines it bypasses.
 // Each is compared with a reference version kept only here, which rescans
-// the whole instance at every step, on random graphs and hypergraphs,
-// including universes on both sides of the 64- and 128-bit word boundaries.
-// The library versions must return the same values, residuals, orderings,
-// covers and decompositions, and draw the same random numbers.
+// the whole instance at every step on the dense Graph (and, for the
+// multi-restart and the branch and bound, covers every bag without a memo
+// and never prunes a restart), on random graphs and hypergraphs, including
+// universes on both sides of the 64- and 128-bit word boundaries, and on
+// data/*.hg and relabeled cycles, adders and triangle strips. The library
+// versions must return the same values, residuals, orderings, covers,
+// decompositions and search-node counts, and draw the same random numbers.
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/anytime.h"
 #include "core/ghw_exact.h"
+#include "core/ghw_lower.h"
 #include "core/ghw_upper.h"
 #include "core/k_decider.h"
+#include "gen/circuits.h"
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
 #include "gtest/gtest.h"
 #include "htd/det_k_decomp.h"
 #include "htd/hypertree_decomposition.h"
 #include "hypergraph/acyclicity.h"
+#include "hypergraph/canonical.h"
+#include "hypergraph/hg_io.h"
 #include "hypergraph/stats.h"
 #include "setcover/set_cover.h"
 #include "td/bucket_elimination.h"
 #include "td/lower_bounds.h"
 #include "td/ordering_heuristics.h"
+#include "util/resource_governor.h"
 #include "util/rng.h"
 
 namespace ghd {
@@ -282,19 +293,111 @@ std::vector<int> RefGreedySetCover(const VertexSet& target,
   return chosen;
 }
 
+// ---- Reference exact cover: branch and bound over VertexSets.
+
+struct RefExactCoverSearch {
+  const std::vector<VertexSet>* sets;
+  int best_size = 0;
+  std::vector<int> best;
+  std::vector<int> current;
+  int max_set_size = 1;
+
+  void Recurse(const VertexSet& uncovered) {
+    if (uncovered.Empty()) {
+      if (static_cast<int>(current.size()) < best_size) {
+        best_size = static_cast<int>(current.size());
+        best = current;
+      }
+      return;
+    }
+    const int lb = (uncovered.Count() + max_set_size - 1) / max_set_size;
+    if (static_cast<int>(current.size()) + lb >= best_size) return;
+    int branch_vertex = -1;
+    int fewest = static_cast<int>(sets->size()) + 1;
+    uncovered.ForEach([&](int v) {
+      int covering = 0;
+      for (const VertexSet& s : *sets) covering += s.Test(v);
+      if (covering < fewest) {
+        fewest = covering;
+        branch_vertex = v;
+      }
+    });
+    if (fewest == 0) return;
+    std::vector<std::pair<int, int>> candidates;  // (-gain, id)
+    for (int s = 0; s < static_cast<int>(sets->size()); ++s) {
+      if ((*sets)[s].Test(branch_vertex)) {
+        candidates.emplace_back(-(*sets)[s].IntersectCount(uncovered), s);
+      }
+    }
+    std::sort(candidates.begin(), candidates.end());
+    for (const auto& [neg_gain, s] : candidates) {
+      current.push_back(s);
+      Recurse(uncovered - (*sets)[s]);
+      current.pop_back();
+    }
+  }
+};
+
+std::vector<int> RefExactSetCover(const VertexSet& target,
+                                  const std::vector<VertexSet>& sets) {
+  RefExactCoverSearch search;
+  search.sets = &sets;
+  search.best = RefGreedySetCover(target, sets, nullptr);
+  search.best_size = static_cast<int>(search.best.size());
+  for (const VertexSet& s : sets) {
+    search.max_set_size = std::max(search.max_set_size, s.Count());
+  }
+  search.Recurse(target);
+  return search.best;
+}
+
+// ---- Reference bucket elimination on the dense graph.
+
+TreeDecomposition RefTdFromOrdering(const Graph& g,
+                                    const std::vector<int>& ordering) {
+  const int n = g.num_vertices();
+  Graph work = g;
+  TreeDecomposition td;
+  std::vector<int> position_of(n);
+  for (int i = 0; i < n; ++i) position_of[ordering[i]] = i;
+  std::vector<int> parent(n, -1);
+  for (int i = 0; i < n; ++i) {
+    const int v = ordering[i];
+    VertexSet bag = work.Neighbors(v);
+    bag.Set(v);
+    td.bags.push_back(bag);
+    int next = -1;
+    work.Neighbors(v).ForEach([&](int u) {
+      if (next == -1 || position_of[u] < position_of[next]) next = u;
+    });
+    if (next != -1) parent[i] = position_of[next];
+    work.EliminateVertex(v);
+  }
+  int previous_root = -1;
+  for (int i = 0; i < n; ++i) {
+    if (parent[i] >= 0) {
+      td.tree_edges.emplace_back(i, parent[i]);
+    } else {
+      if (previous_root >= 0) td.tree_edges.emplace_back(previous_root, i);
+      previous_root = i;
+    }
+  }
+  return td;
+}
+
 // ---- Reference bag covers: the cover solvers over every hyperedge.
 
 std::vector<int> RefCoverBag(const Hypergraph& h, const VertexSet& bag,
                              CoverMode mode) {
-  if (mode == CoverMode::kExact) return *ExactSetCover(bag, h.edges());
-  return GreedySetCover(bag, h.edges());
+  if (mode == CoverMode::kExact) return RefExactSetCover(bag, h.edges());
+  return RefGreedySetCover(bag, h.edges(), nullptr);
 }
 
 GhwUpperBoundResult RefGhwFromOrdering(const Hypergraph& h,
                                        const std::vector<int>& ordering,
                                        CoverMode mode) {
   const VertexSet covered = h.CoveredVertices();
-  TreeDecomposition td = TdFromOrdering(h.PrimalGraph(), ordering);
+  TreeDecomposition td = RefTdFromOrdering(h.PrimalGraph(), ordering);
   GhwUpperBoundResult result;
   result.ordering = ordering;
   result.ghd.tree_edges = td.tree_edges;
@@ -324,6 +427,161 @@ int RefGhwWidthFromOrdering(const Hypergraph& h,
     work.EliminateVertex(v);
   }
   return width;
+}
+
+// Every restart covered in full, no memo, no stop at a lower bound.
+GhwUpperBoundResult RefMultiRestart(const Hypergraph& h, int restarts,
+                                    uint64_t seed, CoverMode mode) {
+  const Graph primal = h.PrimalGraph();
+  Rng rng(seed);
+  GhwUpperBoundResult best;
+  for (int r = 0; r < restarts; ++r) {
+    const std::vector<int> ordering = r % 2 == 0 ? RefMinFill(primal, &rng)
+                                                 : RefMinDegree(primal, &rng);
+    GhwUpperBoundResult candidate = RefGhwFromOrdering(h, ordering, mode);
+    if (r == 0 || candidate.width < best.width) best = std::move(candidate);
+  }
+  return best;
+}
+
+int RefGhwLowerBoundFromTw(const Hypergraph& h, int tw) {
+  if (h.num_edges() == 0) return 0;
+  return std::max(1, CoverCountLowerBound(tw + 1, h.edges()));
+}
+
+int RefGhwLowerBound(const Hypergraph& h) {
+  const Graph primal = h.PrimalGraph();
+  return RefGhwLowerBoundFromTw(
+      h, std::max(RefMinorMinWidth(primal), RefGammaR(primal)));
+}
+
+// The exact GHW branch and bound on the dense graph, sequential, with a
+// plain map for the exact cover sizes: ExactGhw with default options and a
+// node budget.
+struct RefBnb {
+  const Hypergraph* h;
+  VertexSet covered;
+  Budget* budget;
+  long nodes = 0;
+  int ub = 0;
+  std::vector<int> best_ordering;
+  std::map<VertexSet, int> cover_sizes;
+  std::vector<int> prefix;
+  std::vector<char> alive;
+  int alive_count = 0;
+
+  int ExactCoverSize(const VertexSet& bag) {
+    auto it = cover_sizes.find(bag);
+    if (it == cover_sizes.end()) {
+      const int size =
+          static_cast<int>(RefCoverBag(*h, bag, CoverMode::kExact).size());
+      it = cover_sizes.emplace(bag, size).first;
+    }
+    return it->second;
+  }
+
+  void Accept(int width) {
+    if (width >= ub) return;
+    ub = width;
+    best_ordering = prefix;
+    for (int v = 0; v < static_cast<int>(alive.size()); ++v) {
+      if (alive[v]) best_ordering.push_back(v);
+    }
+  }
+
+  VertexSet BagOf(const Graph& g, int v) const {
+    VertexSet bag = g.Neighbors(v);
+    bag.Set(v);
+    bag &= covered;
+    return bag;
+  }
+
+  void Branch(const Graph& g, int v, int width) {
+    Graph next = g;
+    next.EliminateVertex(v);
+    prefix.push_back(v);
+    alive[v] = 0;
+    --alive_count;
+    Recurse(next, width);
+    ++alive_count;
+    alive[v] = 1;
+    prefix.pop_back();
+  }
+
+  void Recurse(const Graph& g, int width_so_far) {
+    ++nodes;
+    if (!budget->Tick()) return;
+    if (alive_count == 0) {
+      Accept(width_so_far);
+      return;
+    }
+    VertexSet remaining(g.num_vertices());
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      if (alive[v]) remaining.Set(v);
+    }
+    remaining &= covered;
+    const int rest_cost = static_cast<int>(
+        RefCoverBag(*h, remaining, CoverMode::kGreedy).size());
+    Accept(std::max(width_so_far, rest_cost));
+    if (rest_cost <= width_so_far) return;
+    const int node_lb = RefGhwLowerBoundFromTw(*h, RefMinorMinWidth(g));
+    if (std::max(width_so_far, node_lb) >= ub) return;
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      if (!alive[v] || !g.IsSimplicial(v)) continue;
+      const int next_width = std::max(width_so_far, ExactCoverSize(BagOf(g, v)));
+      if (next_width < ub) Branch(g, v, next_width);
+      return;
+    }
+    std::vector<std::pair<int, int>> order;  // (cost, vertex)
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      if (alive[v]) order.emplace_back(ExactCoverSize(BagOf(g, v)), v);
+    }
+    std::sort(order.begin(), order.end());
+    for (const auto& [cost, v] : order) {
+      const int next_width = std::max(width_so_far, cost);
+      if (next_width >= ub) continue;
+      Branch(g, v, next_width);
+      if (budget->Stopped()) return;
+    }
+  }
+};
+
+// `warm` = RefMultiRestart(h, 4, 1, kExact), `root_lb` = RefGhwLowerBound(h).
+ExactGhwResult RefExactGhw(const Hypergraph& h, const GhwUpperBoundResult& warm,
+                           int root_lb, long node_budget) {
+  ExactGhwResult result;
+  if (root_lb >= warm.width) {
+    result.lower_bound = root_lb;
+    result.upper_bound = warm.width;
+    result.exact = true;
+    result.best_ordering = warm.ordering;
+    result.best_ghd = warm.ghd;
+    return result;
+  }
+  Budget budget(0, node_budget);
+  RefBnb search;
+  search.h = &h;
+  search.covered = h.CoveredVertices();
+  search.budget = &budget;
+  search.ub = warm.width;
+  search.alive.assign(h.num_vertices(), 1);
+  search.alive_count = h.num_vertices();
+  search.Recurse(h.PrimalGraph(), 0);
+  result.nodes_visited = search.nodes;
+  result.upper_bound = search.ub;
+  result.exact = !budget.Stopped();
+  result.lower_bound = result.exact ? result.upper_bound : root_lb;
+  if (search.best_ordering.empty()) {
+    result.best_ordering = warm.ordering;
+    result.best_ghd = warm.ghd;
+  } else {
+    result.best_ordering = search.best_ordering;
+    GhwUpperBoundResult witness =
+        RefGhwFromOrdering(h, search.best_ordering, CoverMode::kExact);
+    result.upper_bound = witness.width;
+    result.best_ghd = std::move(witness.ghd);
+  }
+  return result;
 }
 
 // ---- Instances.
@@ -405,6 +663,41 @@ std::vector<Hypergraph> RandomHypergraphs() {
     out.push_back(RandomJoinTree(n, &rng));
   }
   return out;
+}
+
+// data/*.hg plus cycles, adders and triangle strips, each generated one
+// also under a seeded relabeling (vertex ids and edge order shuffled), which
+// moves every tie the heuristics break.
+std::vector<Hypergraph> FamilyHypergraphs() {
+  std::vector<Hypergraph> out;
+  for (const char* file :
+       {"acyclic_star", "adder_4", "bridge_3", "cycle_256", "example",
+        "grid3x3", "grid7x7", "triangle", "tristrip_64", "window_160"}) {
+    out.push_back(
+        LoadHg(std::string(GHD_DATA_DIR) + "/" + file + ".hg").value());
+  }
+  std::vector<Hypergraph> generated;
+  for (int n : {5, 9, 16, 40}) generated.push_back(CycleHypergraph(n));
+  for (int k : {2, 3, 5}) generated.push_back(AdderHypergraph(k));
+  for (int k : {3, 7, 12}) generated.push_back(TriangleStripHypergraph(k));
+  Rng rng(1000);
+  for (const Hypergraph& h : generated) {
+    std::vector<int> vertex_perm(h.num_vertices()), edge_perm(h.num_edges());
+    for (int v = 0; v < h.num_vertices(); ++v) vertex_perm[v] = v;
+    for (int e = 0; e < h.num_edges(); ++e) edge_perm[e] = e;
+    rng.Shuffle(&vertex_perm);
+    rng.Shuffle(&edge_perm);
+    out.push_back(h);
+    out.push_back(RelabeledHypergraph(h, vertex_perm, edge_perm));
+  }
+  return out;
+}
+
+void ExpectSameGhd(const GeneralizedHypertreeDecomposition& got,
+                   const GeneralizedHypertreeDecomposition& want) {
+  EXPECT_EQ(got.bags, want.bags);
+  EXPECT_EQ(got.guards, want.guards);
+  EXPECT_EQ(got.tree_edges, want.tree_edges);
 }
 
 // ---- Tests.
@@ -509,10 +802,140 @@ TEST(PrepassDiffTest, CoverBagMatchesCoverOverAllEdges) {
       });
       if (bag.Count() > 24) continue;  // keep the reference exact cover small
       for (CoverMode mode : {CoverMode::kGreedy, CoverMode::kExact}) {
-        EXPECT_EQ(CoverBag(h, bag, mode), RefCoverBag(h, bag, mode));
+        EXPECT_EQ(CoverBag(h, bag.ToVector(), mode), RefCoverBag(h, bag, mode));
       }
     }
   }
+}
+
+TEST(PrepassDiffTest, ExactSetCoverMatchesReference) {
+  Rng rng(77);
+  for (const Hypergraph& h : RandomHypergraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    const VertexSet covered = h.CoveredVertices();
+    for (double p : {0.2, 0.6, 1.0}) {
+      VertexSet target(h.num_vertices());
+      covered.ForEach([&](int v) {
+        if (rng.Bernoulli(p)) target.Set(v);
+      });
+      if (target.Count() > 24) continue;  // keep the reference search small
+      EXPECT_EQ(ExactSetCover(target, h.edges()),
+                RefExactSetCover(target, h.edges()));
+    }
+  }
+}
+
+TEST(SparseEliminationDiffTest, OrderingsBoundsAndTdsMatchDenseReference) {
+  uint64_t seed = 17;
+  for (const Hypergraph& h : FamilyHypergraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    const Graph primal = h.PrimalGraph();
+    const EliminationGraph sparse(h.Flat());
+    EXPECT_EQ(DegeneracyLowerBound(sparse), RefDegeneracy(primal));
+    EXPECT_EQ(MinorMinWidthLowerBound(sparse), RefMinorMinWidth(primal));
+    EXPECT_EQ(GammaRLowerBound(sparse), RefGammaR(primal));
+    EXPECT_EQ(GhwLowerBound(h), RefGhwLowerBound(h));
+
+    const std::vector<int> min_fill = MinFillOrdering(sparse);
+    EXPECT_EQ(min_fill, RefMinFill(primal, nullptr));
+    EXPECT_EQ(MinDegreeOrdering(sparse), RefMinDegree(primal, nullptr));
+    Rng a(seed), b(seed);
+    EXPECT_EQ(MinFillOrdering(sparse, &a), RefMinFill(primal, &b));
+    const std::vector<int> min_degree = MinDegreeOrdering(sparse, &a);
+    EXPECT_EQ(min_degree, RefMinDegree(primal, &b));
+    EXPECT_EQ(a.Next(), b.Next());
+    ++seed;
+
+    for (const std::vector<int>& ordering : {min_fill, min_degree}) {
+      const TreeDecomposition want = RefTdFromOrdering(primal, ordering);
+      const TreeDecomposition got = TdFromOrdering(sparse, ordering);
+      EXPECT_EQ(got.bags, want.bags);
+      EXPECT_EQ(got.tree_edges, want.tree_edges);
+      EXPECT_EQ(EliminationWidth(sparse, ordering), want.Width());
+      for (CoverMode mode : {CoverMode::kGreedy, CoverMode::kExact}) {
+        const GhwUpperBoundResult ref = RefGhwFromOrdering(h, ordering, mode);
+        const GhwUpperBoundResult ghw = GhwFromOrdering(h, ordering, mode);
+        EXPECT_EQ(ghw.width, ref.width);
+        ExpectSameGhd(ghw.ghd, ref.ghd);
+        CoverMemo memo(h, mode);
+        ExpectSameGhd(GhwFromOrdering(h, ordering, mode, &memo).ghd, ref.ghd);
+        for (int stop : {-1, 1, 2, ref.width}) {
+          EXPECT_EQ(GhwWidthFromOrdering(h, ordering, mode, stop, &memo),
+                    RefGhwWidthFromOrdering(h, ordering, mode, stop));
+        }
+      }
+    }
+  }
+}
+
+TEST(SparseEliminationDiffTest, MultiRestartMatchesUnprunedReference) {
+  for (const Hypergraph& h : FamilyHypergraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    const int lb = GhwLowerBound(h);
+    for (CoverMode mode : {CoverMode::kGreedy, CoverMode::kExact}) {
+      for (uint64_t seed : {1, 11}) {
+        const GhwUpperBoundResult want = RefMultiRestart(h, 8, seed, mode);
+        CoverMemo memo(h, mode);
+        for (const GhwUpperBoundResult& got :
+             {GhwUpperBoundMultiRestart(h, 8, seed, mode),
+              GhwUpperBoundMultiRestart(h, 8, seed, mode, lb),
+              GhwUpperBoundMultiRestart(h, 8, seed, mode, lb, &memo)}) {
+          EXPECT_EQ(got.width, want.width);
+          EXPECT_EQ(got.ordering, want.ordering);
+          ExpectSameGhd(got.ghd, want.ghd);
+        }
+      }
+    }
+  }
+}
+
+TEST(SparseEliminationDiffTest, ExactBnbMatchesDenseReference) {
+  long searched = 0;
+  for (const Hypergraph& h : FamilyHypergraphs()) {
+    SCOPED_TRACE("n=" + std::to_string(h.num_vertices()) +
+                 " m=" + std::to_string(h.num_edges()));
+    const GhwUpperBoundResult ref_warm =
+        RefMultiRestart(h, 4, 1, CoverMode::kExact);
+    const int ref_lb = RefGhwLowerBound(h);
+    for (long ticks = 1; ticks <= 50; ++ticks) {
+      SCOPED_TRACE("ticks=" + std::to_string(ticks));
+      ExactGhwOptions options;
+      options.node_budget = ticks;
+      const ExactGhwResult got = ExactGhw(h, options);
+      const ExactGhwResult want = RefExactGhw(h, ref_warm, ref_lb, ticks);
+      EXPECT_EQ(got.nodes_visited, want.nodes_visited);
+      EXPECT_EQ(got.lower_bound, want.lower_bound);
+      EXPECT_EQ(got.upper_bound, want.upper_bound);
+      EXPECT_EQ(got.exact, want.exact);
+      EXPECT_EQ(got.best_ordering, want.best_ordering);
+      ExpectSameGhd(got.best_ghd, want.best_ghd);
+      searched += got.nodes_visited;
+      if (want.nodes_visited == 0) break;  // settled before the search
+
+      // The anytime ladder's path: a warm start and a memo carried over from
+      // the multi-restart rung change nothing.
+      if (h.IsConnected()) {
+        const int lb = GhwLowerBound(h);
+        CoverMemo memo(h, CoverMode::kExact);
+        GhwUpperBoundResult warm =
+            GhwUpperBoundMultiRestart(h, 8, 1, CoverMode::kExact, lb, &memo);
+        options.heuristic_restarts = 0;
+        const ExactGhwResult shared =
+            internal::ExactGhwSeeded(h, options, lb, warm, &memo);
+        const ExactGhwResult alone =
+            internal::ExactGhwSeeded(h, options, lb, std::move(warm));
+        EXPECT_EQ(shared.nodes_visited, alone.nodes_visited);
+        EXPECT_EQ(shared.lower_bound, alone.lower_bound);
+        EXPECT_EQ(shared.upper_bound, alone.upper_bound);
+        EXPECT_EQ(shared.best_ordering, alone.best_ordering);
+        ExpectSameGhd(shared.best_ghd, alone.best_ghd);
+      }
+    }
+  }
+  EXPECT_GT(searched, 1000);  // the budgets cut real searches short
 }
 
 // Universes on both sides of one and of four 64-bit words.

@@ -647,9 +647,11 @@ int main(int argc, char** argv) {
       return kExitDecided;
     }
     if (command == "bounds") {
-      GhwUpperBoundResult ub = GhwUpperBoundMultiRestart(
-          h, 8, static_cast<uint64_t>(seed), CoverMode::kExact);
+      // The lower bound comes first: the restarts stop once one meets it.
       run.lower_bound = GhwLowerBound(h);
+      GhwUpperBoundResult ub =
+          GhwUpperBoundMultiRestart(h, 8, static_cast<uint64_t>(seed),
+                                    CoverMode::kExact, run.lower_bound);
       run.upper_bound = ub.width;
       std::cout << "ghw lower bound: " << run.lower_bound << "\n";
       std::cout << "ghw upper bound: " << run.upper_bound << "\n";
@@ -724,9 +726,11 @@ int main(int argc, char** argv) {
         std::cout << "hw = " << r.width << "\n";
         return kExitDecided;
       }
-      run.lower_bound = r.last_failed_k + 1;
+      // The ladder started at a known lower bound, so a truncation in its
+      // first rung still reports that bound.
+      run.lower_bound = std::max(r.last_failed_k + 1, r.lower_bound);
       run.upper_bound = h.num_edges();
-      std::cout << "hw > " << r.last_failed_k << " ("
+      std::cout << "hw > " << run.lower_bound - 1 << " ("
                 << StopReasonName(r.outcome.stop_reason) << ")\n";
       return kExitTruncated;
     }
@@ -789,7 +793,7 @@ int main(int argc, char** argv) {
       return kExitTruncated;
     }
     if (command == "td") {
-      const Graph primal = h.PrimalGraph();
+      const EliminationGraph primal(h.Flat());
       TreeDecomposition td = TdFromOrdering(primal, MinFillOrdering(primal));
       std::cout << WritePaceTreeDecomposition(td, primal.num_vertices());
       std::cerr << "width " << td.Width() << " (min-fill heuristic)\n";
@@ -884,6 +888,9 @@ int main(int argc, char** argv) {
 
 #if GHD_OBS_ENABLED
   if (!trace_out.empty()) {
+    // Writing the trace is file I/O inside the run's wall clock, so it gets
+    // a top-level attribution node of its own.
+    GHD_ATTR_SCOPE(trace_attr, "report:trace-out");
     obs::DisableTracing();
     std::ofstream out(trace_out);
     if (!out) {

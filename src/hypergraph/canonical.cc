@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
+#include <initializer_list>
 #include <numeric>
 #include <unordered_map>
 
 #include "hypergraph/flat_hypergraph.h"
-#include "hypergraph/kernels.h"
 #include "obs/obs.h"
 #include "util/check.h"
 
@@ -56,13 +55,15 @@ struct Coloring {
   std::unordered_map<uint64_t, int> ecount;
 };
 
-// The canonical leaf found so far: its encoding (compared lexicographically)
-// and the permutations that produced it.
-struct BestLeaf {
+// A leaf the search keeps: its encoding (compared lexicographically), the
+// permutations that produced it, and the individualized vertices on the way
+// down (path[d] is the vertex the depth-d node branched on).
+struct Leaf {
   bool set = false;
   std::vector<uint32_t> encoding;
   std::vector<int> vertex_perm;
   std::vector<int> edge_perm;
+  std::vector<int> path;
 };
 
 class CanonicalSearch {
@@ -89,6 +90,7 @@ class CanonicalSearch {
     result.canonical = !fallback_;
     result.nodes_explored = nodes_;
     result.refinement_rounds = rounds_;
+    result.backjumps = backjumps_;
     uint64_t seed_hi = kKeySeedHi;
     uint64_t seed_lo = kKeySeedLo;
     if (fallback_) {
@@ -104,36 +106,48 @@ class CanonicalSearch {
     result.key.lo =
         HashInts(best_.encoding.data(), best_.encoding.size(), seed_lo);
     GHD_COUNT_N(kCanonNodes, nodes_);
+    GHD_COUNT_N(kCanonBackjumps, backjumps_);
     return result;
   }
 
  private:
   // Seed colors: vertex degree; edge arity plus (on small enough instances)
-  // the sorted profile of pairwise intersection sizes, scored through the
-  // batched AndPopcountRows kernel against the whole edge_bits matrix.
+  // the sorted profile of pairwise intersection sizes. The profile walks the
+  // vertex CSR: every edge met through a shared vertex is counted in a reused
+  // array, and the m - |met| disjoint edges are the leading zeros of the
+  // sorted profile. Cost is the sum over e of the degrees of e's members.
   void InitialColors(Coloring* c) {
     c->vc.resize(n_);
     c->ec.resize(m_);
+    const auto& vo = flat_.vertex_offsets();
+    const auto& ve = flat_.vertex_edges();
+    const auto& eo = flat_.edge_offsets();
+    const auto& ev = flat_.edge_vertices();
     for (int v = 0; v < n_; ++v) {
-      const long degree =
-          flat_.vertex_offsets()[v + 1] - flat_.vertex_offsets()[v];
+      const long degree = vo[v + 1] - vo[v];
       c->vc[v] = SplitMix64(kVertexSeed ^ static_cast<uint64_t>(degree));
     }
     const bool profile = m_ > 0 && m_ <= kMaxProfileEdges;
-    std::vector<int32_t> ids(m_);
-    std::iota(ids.begin(), ids.end(), 0);
-    std::vector<int> counts(m_);
-    std::vector<uint64_t> sorted(m_);
+    std::vector<int> counts(profile ? m_ : 0, 0);
+    std::vector<int> met;
+    std::vector<uint64_t> sorted;
     for (int e = 0; e < m_; ++e) {
-      const long arity = flat_.edge_offsets()[e + 1] - flat_.edge_offsets()[e];
+      const long arity = eo[e + 1] - eo[e];
       uint64_t h = SplitMix64(kEdgeSeed ^ static_cast<uint64_t>(arity));
       if (profile) {
-        kernels::AndPopcountRows(flat_.edge_bits().row(e), flat_.edge_bits(),
-                                 ids.data(), m_, counts.data());
-        for (int f = 0; f < m_; ++f) {
-          sorted[f] = static_cast<uint64_t>(counts[f]);
+        met.clear();
+        for (int32_t i = eo[e]; i < eo[e + 1]; ++i) {
+          const int v = ev[i];
+          for (int32_t j = vo[v]; j < vo[v + 1]; ++j) {
+            if (counts[ve[j]]++ == 0) met.push_back(ve[j]);
+          }
         }
-        std::sort(sorted.begin(), sorted.end());
+        sorted.assign(m_ - met.size(), 0);
+        for (const int f : met) {
+          sorted.push_back(static_cast<uint64_t>(counts[f]));
+          counts[f] = 0;
+        }
+        std::sort(sorted.end() - met.size(), sorted.end());
         h = HashCombine(h, HashValues(sorted.data(), sorted.size(), h));
       }
       c->ec[e] = h;
@@ -268,15 +282,17 @@ class CanonicalSearch {
     }
   }
 
-  // Two vertices are twins when their incidence rows are identical — every
+  // Two vertices are twins when their incidence lists are identical — every
   // automorphism-free search can order them arbitrarily, so a cell of
   // mutual twins never needs individualization. (Covers isolated vertices,
-  // star leaves, and interchangeable pin vertices.)
+  // star leaves, and interchangeable pin vertices.) The vertex CSR lists are
+  // sorted, so equal sets are equal ranges.
   bool VerticesAreTwins(int a, int b) const {
-    const BitMatrix& inc = flat_.incidence_bits();
-    return std::memcmp(inc.row(a), inc.row(b),
-                       sizeof(uint64_t) *
-                           static_cast<size_t>(inc.stride_words())) == 0;
+    const auto& vo = flat_.vertex_offsets();
+    const auto& ve = flat_.vertex_edges();
+    return vo[a + 1] - vo[a] == vo[b + 1] - vo[b] &&
+           std::equal(ve.begin() + vo[a], ve.begin() + vo[a + 1],
+                      ve.begin() + vo[b]);
   }
 
   // Orbit partition of the automorphisms discovered so far (two leaves with
@@ -349,10 +365,10 @@ class CanonicalSearch {
     // is in the same orbit as v under the automorphisms found so far, v's
     // subtree is the automorphic image of u's — same leaf encodings, nothing
     // new to find. Only sound at the root, where there is no individualized
-    // prefix the automorphism would have to stabilize; deeper levels branch
-    // exhaustively. This is what tames vertex-transitive families: on a
-    // cycle the first branch discovers the rotation, and the remaining
-    // n - 1 root branches collapse to orbit lookups.
+    // prefix the automorphism would have to stabilize. This is what tames
+    // vertex-transitive families: on a cycle the first branch discovers the
+    // rotation, and the remaining n - 1 root branches collapse to orbit
+    // lookups. Deeper levels prune by backjumping instead (EmitLeaf).
     std::vector<int> branched;
     for (size_t b = 0; b < reps.size(); ++b) {
       const int v = reps[b];
@@ -373,14 +389,23 @@ class CanonicalSearch {
       if (--child.vcount.at(old) == 0) child.vcount.erase(old);
       child.vcount[fresh] += 1;
       child.vc[v] = fresh;
+      path_.push_back(v);
       Search(std::move(child), {v}, {}, depth + 1);
+      path_.pop_back();
       if (fallback_) break;
+      if (unwind_to_ >= 0) {
+        // A leaf below proved the rest of the subtree at depth unwind_to_ + 1
+        // automorphic to explored ground: nodes deeper than unwind_to_ return
+        // at once, the node at unwind_to_ goes on with its next candidate.
+        if (unwind_to_ < depth) return;
+        unwind_to_ = -1;
+      }
     }
   }
 
   // A discrete (or twin-resolved) leaf: derive the permutations, build the
   // canonical encoding, and keep it when lexicographically smaller than the
-  // best seen.
+  // best seen. The first leaf is kept too, for automorphism detection.
   void EmitLeaf(const std::vector<int>& vertex_order) {
     std::vector<int> vperm(n_);
     for (int i = 0; i < n_; ++i) vperm[vertex_order[i]] = i;
@@ -414,21 +439,49 @@ class CanonicalSearch {
       encoding.insert(encoding.end(), relabeled[e].begin(),
                       relabeled[e].end());
     }
-    if (best_.set && encoding == best_.encoding) {
-      // Same canonical leaf through a different relabeling: the composition
-      // of the two permutations is an automorphism of h. Fold it into the
-      // orbit partition so the root loop can prune its images.
-      std::vector<int> inv(n_);
-      for (int v = 0; v < n_; ++v) inv[vperm[v]] = v;
-      for (int v = 0; v < n_; ++v) Union(v, inv[best_.vertex_perm[v]]);
-      return;
+    for (const Leaf* earlier : {&first_, &best_}) {
+      if (earlier->set && encoding == earlier->encoding) {
+        ApplyAutomorphism(*earlier, vperm);
+        return;
+      }
     }
     if (best_.set && encoding > best_.encoding) return;
-    best_.set = true;
-    best_.encoding = std::move(encoding);
-    best_.vertex_perm = std::move(vperm);
-    best_.edge_perm.assign(m_, 0);
-    for (int i = 0; i < m_; ++i) best_.edge_perm[edge_order[i]] = i;
+    std::vector<int> eperm(m_);
+    for (int i = 0; i < m_; ++i) eperm[edge_order[i]] = i;
+    if (!first_.set) first_ = {true, encoding, vperm, eperm, path_};
+    best_ = {true, std::move(encoding), std::move(vperm), std::move(eperm),
+             path_};
+  }
+
+  // The current leaf (relabeling `vperm`) has the same encoding as `earlier`,
+  // so gamma = inv(vperm) o earlier.vertex_perm is an automorphism of h that
+  // maps the earlier leaf onto this one. Fold it into the orbit partition for
+  // the root loop. Then, if gamma maps the earlier path onto the current one
+  // up to and including the depth l where they part — it fixes the common
+  // prefix and sends earlier.path[l] to path_[l] — the current depth-(l+1)
+  // subtree is gamma's image of the earlier one. Refinement, the target-cell
+  // rule and the twin test are label-invariant, so every leaf encoding in it
+  // was already seen there (that subtree is finished: the earlier leaf comes
+  // first in DFS order). Unwind to depth l. The first leaf in DFS order that
+  // reaches the minimal encoding is never inside an abandoned subtree, so the
+  // result is the one the unpruned search returns.
+  void ApplyAutomorphism(const Leaf& earlier, const std::vector<int>& vperm) {
+    std::vector<int> inv(n_);
+    for (int v = 0; v < n_; ++v) inv[vperm[v]] = v;
+    std::vector<int> gamma(n_);
+    for (int v = 0; v < n_; ++v) {
+      gamma[v] = inv[earlier.vertex_perm[v]];
+      Union(v, gamma[v]);
+    }
+    const size_t depth = std::min(earlier.path.size(), path_.size());
+    for (size_t l = 0; l < depth; ++l) {
+      if (gamma[earlier.path[l]] != path_[l]) return;
+      if (earlier.path[l] != path_[l]) {
+        unwind_to_ = static_cast<int>(l);
+        ++backjumps_;
+        return;
+      }
+    }
   }
 
   const Hypergraph& h_;
@@ -436,7 +489,13 @@ class CanonicalSearch {
   const CanonicalizeOptions& options_;
   const int n_;
   const int m_;
-  BestLeaf best_;
+  Leaf first_;
+  Leaf best_;
+  // Vertices individualized on the way to the current node.
+  std::vector<int> path_;
+  // Depth the search is unwinding to after a backjump; -1 when not unwinding.
+  int unwind_to_ = -1;
+  long backjumps_ = 0;
   // Visit stamps for the worklist dedup in Refine (shared across the whole
   // search; the counter only moves forward).
   std::vector<uint64_t> stamp_v_;

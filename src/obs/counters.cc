@@ -57,6 +57,7 @@ const char* const kCounterNames[kNumCounters] = {
     "trace_spans_dropped",
     "canon_nodes",
     "canon_fallbacks",
+    "canon_backjumps",
     "cache_hits",
     "cache_misses",
     "cache_inserts",

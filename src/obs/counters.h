@@ -95,6 +95,8 @@ enum class Counter : int {
   kCanonNodes,          // individualization-refinement nodes explored
   kCanonFallbacks,      // canonicalizations truncated by the node budget
                         // (key degraded to exact-repeat matching)
+  kCanonBackjumps,      // subtrees abandoned as automorphic images of
+                        // explored ones (unwinds after an equal-leaf match)
   // Memoized decomposition cache (cache/decomp_cache).
   kCacheHits,           // lookups served from a cached entry
   kCacheMisses,         // lookups that fell through to a solve

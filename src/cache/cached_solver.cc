@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "htd/det_k_decomp.h"
+#include "obs/obs.h"
 #include "util/check.h"
 
 namespace ghd {
@@ -147,23 +149,27 @@ CachedDecideResult CachedDecideHw(const PreparedInstance& p, int k,
   // instance so the stored entry — and therefore what rehydration serves —
   // is identical across every isomorphic re-ask.
   const Hypergraph canon_h = CanonicalInstance(p);
+  // The certified floor refutes hw <= k before any search when it exceeds k,
+  // and otherwise spares the ladder every rung below it.
+  CacheEntry learned;
+  learned.hw_lb = HwLowerBound(canon_h);
+  if (learned.hw_lb > k) {
+    GHD_COUNT(kHwFloorRefutations);
+    result.decided = true;
+    if (cache != nullptr) cache->Merge(p.key(), learned);
+    return result;
+  }
+  const int start_k = std::max({1, learned.hw_lb, entry.hw_lb});
   const GuardFamily family = OriginalEdgesFamily(canon_h);
   KLadderContext ladder(canon_h, family, options.num_threads);
-  CacheEntry learned;
-  // Trivial certified floor: any instance with an edge needs a guard.
-  learned.hw_lb = canon_h.num_edges() > 0 ? 1 : 0;
-  const int start_k = entry.hw_lb > 1 ? entry.hw_lb : 1;
   for (int kk = start_k; kk <= k; ++kk) {
     const KDeciderResult r = DecideWidthK(canon_h, family, kk, options,
                                           &ladder);
     result.outcome = r.outcome;
-    if (!r.decided) {
-      // Truncated: nothing certified at this rung, and nothing below it is
-      // new. Merge what the completed rungs proved and report truncation.
-      break;
-    }
+    // Truncated: nothing certified at this rung; what the completed rungs
+    // proved is still merged below.
+    if (!r.decided) break;
     if (r.exists) {
-      result.decided = true;
       result.exists = true;
       result.width = kk;
       result.decomposition = r.decomposition;
@@ -171,11 +177,13 @@ CachedDecideResult CachedDecideHw(const PreparedInstance& p, int k,
       learned.hw_witness = FlattenDecomposition(r.decomposition);
       break;
     }
-    result.decided = true;
-    result.exists = false;
     learned.hw_lb = kk + 1;
   }
-  if (cache != nullptr && (learned.hw_lb > 1 || learned.hw_ub >= 0)) {
+  // "No" is decided only once every rung through k has refuted.
+  result.decided = result.exists || learned.hw_lb > k;
+  // The floor alone is merged only when the ask ends decided: a run
+  // truncated before any rung completes leaves no entry.
+  if (cache != nullptr && (result.decided || learned.hw_lb > start_k)) {
     cache->Merge(p.key(), learned);
   }
   if (result.exists) {

@@ -81,11 +81,15 @@ struct CachedDecideResult {
 
 /// Decides hw(H) <= k through the cache. Hit iff the cached interval is
 /// conclusive at k: hw_ub <= k (witness rehydrated and served) or hw_lb > k.
-/// On a miss, runs the k-ladder (DecideWidthK with a shared KLadderContext,
-/// k = 1..k) on the canonical instance and merges every certified fact —
-/// failed rungs as lower bounds, the success as an upper bound with witness.
-/// Only complete (non-truncated) decider outcomes are merged; `cache` may be
-/// null (pure solve).
+/// On a miss, computes the certified floor HwLowerBound on the canonical
+/// instance; a floor above k answers "no" without a search. Otherwise runs
+/// the k-ladder (DecideWidthK with a shared KLadderContext, from
+/// max(floor, cached hw_lb) to k) on the canonical instance and merges every
+/// certified fact — failed rungs as lower bounds, the success as an upper
+/// bound with witness, and the floor when the ask ends decided. Only
+/// complete (non-truncated) decider outcomes are merged, and "no" is
+/// reported only once every rung through k refuted; `cache` may be null
+/// (pure solve).
 CachedDecideResult CachedDecideHw(const PreparedInstance& p, int k,
                                   DecompCache* cache,
                                   const KDeciderOptions& options = {});

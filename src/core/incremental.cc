@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cache/cached_solver.h"
+#include "htd/det_k_decomp.h"
 #include "obs/obs.h"
 #include "util/check.h"
 #include "util/hash_mix.h"
@@ -102,19 +103,21 @@ IncrementalDecideResult IncrementalSolver::DecideHw(int k) {
   // Layer 1: the version verdict memo. Exact repeats (remove, decide,
   // re-insert, decide — the dominant mutation-stream shape) are served here
   // for the cost of hashing the edge multiset, with no canonicalization and
-  // no search. Every certified verdict below records into it.
+  // no search. A version seen for the first time is seeded with its
+  // certified floor (tick-free), so every k below it is served here too.
+  // Every certified verdict below records into it.
   const InstanceKey fp = VersionFingerprint(current_);
-  auto memo_it = verdict_memo_.find(fp);
-  if (memo_it != verdict_memo_.end()) {
-    const VersionVerdict& v = memo_it->second;
-    if (k >= v.yes_k || k <= v.no_k) {
-      out.decided = true;
-      out.exists = k >= v.yes_k;
-      out.from_cache = true;
-      ++stats_.fingerprint_served;
-      GHD_COUNT(kIncrFingerprintServed);
-      return out;
-    }
+  const auto [memo_it, first_seen] = verdict_memo_.try_emplace(fp);
+  if (first_seen) memo_it->second.no_k = HwLowerBound(current_) - 1;
+  const VersionVerdict& v = memo_it->second;
+  if (k >= v.yes_k || k <= v.no_k) {
+    out.decided = true;
+    out.exists = k >= v.yes_k;
+    out.from_cache = true;
+    ++stats_.fingerprint_served;
+    GHD_COUNT(kIncrFingerprintServed);
+    if (first_seen) GHD_COUNT(kHwFloorRefutations);
+    return out;
   }
   auto record_verdict = [&](bool exists) {
     VersionVerdict& v = verdict_memo_[fp];

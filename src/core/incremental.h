@@ -36,7 +36,10 @@
 // version verdict memo keyed by a 128-bit edge-multiset fingerprint: hw is
 // invariant under edge permutation over the fixed vertex universe, so a
 // stream that returns to a previous version (remove, decide, re-insert,
-// decide) is served in microseconds — no canonicalization, no search. The
+// decide) is served in microseconds — no canonicalization, no search. A
+// version seen for the first time is seeded with its certified hw floor
+// (htd/det_k_decomp.h, HwLowerBound; tick-free), so asks below the floor
+// are served by the memo too, before any search or bootstrap. The
 // root memo state contains every edge and is therefore invalidated by every
 // delta, so even a warm re-solve pays a root re-expansion; the fingerprint
 // memo is what makes exact repeats cheap. Second, when the dirty region
@@ -148,7 +151,8 @@ class IncrementalSolver {
   // a mutation stream that returns to a previous version — remove, decide,
   // re-insert, decide — is served here in microseconds, without the
   // canonicalization a DecompCache lookup costs). yes_k is the smallest k
-  // certified YES, no_k the largest certified NO; both monotone facts.
+  // certified YES, no_k the largest certified NO; both monotone facts. A new
+  // version starts with no_k = HwLowerBound - 1.
   struct VersionVerdict {
     int yes_k = 0x7fffffff;
     int no_k = 0;

@@ -46,7 +46,19 @@ HypertreeWidthResult KLadder(const Hypergraph& h, int start, int max_k,
   return result;
 }
 
+// HwLowerBound of an h already known to be cyclic, without a GYO pass.
+int CyclicHwLowerBound(const Hypergraph& h) {
+  return std::max(2, GhwLowerBound(h));
+}
+
 }  // namespace
+
+int HwLowerBound(const Hypergraph& h) {
+  if (h.num_edges() == 0) return 0;
+  // GhwLowerBound <= ghw = 1 on an alpha-acyclic h, so it adds nothing there.
+  if (IsAlphaAcyclic(h)) return 1;
+  return CyclicHwLowerBound(h);
+}
 
 KDeciderResult HypertreeWidthAtMost(const Hypergraph& h, int k,
                                     const KDeciderOptions& options) {
@@ -85,8 +97,8 @@ HypertreeWidthResult HypertreeWidth(const Hypergraph& h, int max_k,
     }
   }
   if (gyo.removal_order.empty() || static_cast<int>(cyclic.size()) == m) {
-    // ghw <= hw, so a GHW lower bound starts the iteration.
-    return KLadder(h, std::max(1, GhwLowerBound(h)), max_k, options);
+    // Every component is cyclic here.
+    return KLadder(h, CyclicHwLowerBound(h), max_k, options);
   }
   // One ladder on the cyclic components, the acyclic ones' join trees
   // grafted under its node 0.
@@ -96,7 +108,7 @@ HypertreeWidthResult HypertreeWidth(const Hypergraph& h, int max_k,
     result.width = result.lower_bound = 1;
   } else {
     const Hypergraph part = EdgeSubhypergraph(h, cyclic);
-    result = KLadder(part, std::max(1, GhwLowerBound(part)), max_k, options);
+    result = KLadder(part, CyclicHwLowerBound(part), max_k, options);
     if (!result.exact) return result;
     AppendPart(&base, std::move(result.decomposition), cyclic, -1);
   }

@@ -16,6 +16,13 @@ namespace ghd {
 KDeciderResult HypertreeWidthAtMost(const Hypergraph& h, int k,
                                     const KDeciderOptions& options = {});
 
+/// A certified floor on hw(H), known before any search and tick-free:
+/// max(GhwLowerBound(H), 2 if H is not alpha-acyclic, 1 if H has an edge).
+/// Sound because ghw <= hw and hw = 1 exactly on the alpha-acyclic
+/// instances; 0 for the empty hypergraph. A ladder started here still stops
+/// at the exact hw, and hw(H) <= k is refuted outright when it exceeds k.
+int HwLowerBound(const Hypergraph& h);
+
 /// Result of iterating k upward until hw is found.
 struct HypertreeWidthResult {
   /// hw(H) when exact, otherwise meaningless.
@@ -24,8 +31,9 @@ struct HypertreeWidthResult {
   /// Largest k with hw(H) > k established before stopping (lower bound - 1).
   int last_failed_k = 0;
   /// The k the ladder started from, a bound known before any rung ran:
-  /// hw(H) >= lower_bound, since it is GhwLowerBound and ghw <= hw. A
-  /// truncated run has hw(H) >= max(last_failed_k + 1, lower_bound).
+  /// hw(H) >= lower_bound, since it is HwLowerBound (of the cyclic part the
+  /// ladder ran on). A truncated run has
+  /// hw(H) >= max(last_failed_k + 1, lower_bound).
   int lower_bound = 0;
   GeneralizedHypertreeDecomposition decomposition;
   long states_visited = 0;

@@ -29,6 +29,7 @@ const char* const kCounterNames[kNumCounters] = {
     "decider_cancels",
     "decider_unproven_false",
     "detk_iterations",
+    "hw_floor_refutations",
     "cover_cache_hits",
     "cover_cache_misses",
     "ub_restarts_pruned",

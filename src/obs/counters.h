@@ -45,6 +45,9 @@ enum class Counter : int {
   kDeciderCancels,      // cancel tokens fired (sibling won / sibling failed)
   kDeciderUnprovenFalse,// negative results discarded because of truncation
   kDetKIterations,      // k values tried by the hw(H) iteration
+  // Certified hw floor (htd/det_k_decomp HwLowerBound) on the serving paths
+  // (cache/cached_solver, core/incremental).
+  kHwFloorRefutations,  // asks answered "no" by the floor, without a search
   // Cover memos: the per-ask CoverMemo shared by the multi-restart rung and
   // the exact B&B (core/ghw_upper, ghw_exact), and the subset DP's own
   // (core/ghw_dp).

@@ -32,6 +32,7 @@
 #include "hypergraph/hypergraph_builder.h"
 #include "hypergraph/kernels.h"
 #include "hypergraph/reduce.h"
+#include "test_instances.h"
 #include "util/check.h"
 #include "util/hash_mix.h"
 #include "util/rng.h"
@@ -401,13 +402,6 @@ CanonicalFormResult Canonicalize(const Hypergraph& h) {
 
 }  // namespace ref
 
-std::vector<int> RandomPerm(int n, Rng* rng) {
-  std::vector<int> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  rng->Shuffle(&perm);
-  return perm;
-}
-
 // Canonicalizes h and a random relabeling of h and asserts both agree on the
 // key; returns the key.
 InstanceKey ExpectInvariantKey(const Hypergraph& h, uint64_t seed) {
@@ -677,39 +671,6 @@ TEST(CanonicalTest, MatchesReferenceOnDataFiles) {
     ++files;
   }
   EXPECT_GE(files, 10);
-}
-
-// The 89 classes of perfbench's repeat_batch workload, rebuilt from the
-// generators.
-std::vector<std::pair<std::string, Hypergraph>> RepeatBatchCatalogue() {
-  std::vector<std::pair<std::string, Hypergraph>> out;
-  for (int r = 4; r <= 6; ++r) {
-    for (int c = r; c <= 6; ++c) {
-      out.emplace_back("grid" + std::to_string(r) + "x" + std::to_string(c),
-                       Grid2dHypergraph(r, c));
-    }
-  }
-  for (int k = 16; k <= 64; k += 4) {
-    out.emplace_back("tristrip" + std::to_string(k),
-                     TriangleStripHypergraph(k));
-  }
-  for (int n = 64; n <= 256; n += 8) {
-    out.emplace_back("cycle" + std::to_string(n), CycleHypergraph(n));
-  }
-  for (int k = 4; k <= 16; ++k) {
-    out.emplace_back("adder" + std::to_string(k), AdderHypergraph(k));
-  }
-  for (int k = 4; k <= 24; k += 2) {
-    out.emplace_back("bridge" + std::to_string(k), BridgeHypergraph(k));
-  }
-  for (int n = 40; n <= 160; n += 20) {
-    for (int arity = 3; arity <= 5; ++arity) {
-      out.emplace_back(
-          "window" + std::to_string(n) + "a" + std::to_string(arity),
-          WindowPathHypergraph(n, arity, 1));
-    }
-  }
-  return out;
 }
 
 TEST(CanonicalTest, MatchesReferenceOnRepeatBatchCatalogue) {

@@ -1,18 +1,26 @@
 // Decomposition cache: interval merge semantics and cross-propagation, LRU
 // byte-budget eviction, save/load round trips, the cached-solver serving
-// rules (conclusive intervals only, truncation never cached), and a
+// rules (conclusive intervals only, truncation never cached), the certified
+// hw floor and a differential check against the independent ladder, and a
 // concurrent mixed-reader/writer stress run for the TSan job.
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/cached_solver.h"
 #include "cache/decomp_cache.h"
+#include "core/ghw_lower.h"
 #include "gen/generators.h"
+#include "gen/random_hypergraphs.h"
 #include "gtest/gtest.h"
+#include "htd/det_k_decomp.h"
 #include "hypergraph/canonical.h"
+#include "hypergraph/hg_io.h"
+#include "hypergraph/hypergraph_builder.h"
 #include "obs/obs.h"
+#include "test_instances.h"
 #include "util/resource_governor.h"
 #include "util/rng.h"
 
@@ -340,6 +348,189 @@ TEST(CachedSolverTest, TruncatedRunsAreNeverCached) {
   CacheEntry entry;
   EXPECT_FALSE(cache.Lookup(p.key(), &entry))
       << "truncated run must not leave a cache entry";
+}
+
+// --- the certified hw floor -------------------------------------------------
+
+TEST(CachedSolverTest, FloorRefutesGridsWithoutSearch) {
+#if GHD_OBS_ENABLED
+  obs::EnableCounters(true);
+  obs::ResetCounters();
+#endif
+  // The floor is taken on the canonical instance, where the heuristic
+  // treewidth bound behind GhwLowerBound reaches 4 on the grids from 4x6 up
+  // but only 3 on 4x4 and 4x5: those two still refute k = 2 by search.
+  int floor_refuted = 0;
+  for (int r = 4; r <= 6; ++r) {
+    for (int c = r; c <= 6; ++c) {
+      const std::string what = std::to_string(r) + "x" + std::to_string(c);
+      DecompCache cache;
+      const PreparedInstance p = PrepareInstance(Grid2dHypergraph(r, c));
+      Budget governor;
+      KDeciderOptions options;
+      options.budget = &governor;
+      const CachedDecideResult res = CachedDecideHw(p, 2, &cache, options);
+      ASSERT_TRUE(res.decided) << what;
+      EXPECT_FALSE(res.exists) << what;
+      if (HwLowerBound(CanonicalInstance(p)) > 2) {
+        EXPECT_EQ(governor.ticks_used(), 0) << what;
+        ++floor_refuted;
+      } else {
+        EXPECT_GT(governor.ticks_used(), 0) << what;
+      }
+      CacheEntry entry;
+      ASSERT_TRUE(cache.Lookup(p.key(), &entry)) << what;
+      EXPECT_GE(entry.hw_lb, 3) << what;
+      EXPECT_EQ(entry.hw_ub, -1) << what;
+    }
+  }
+  EXPECT_EQ(floor_refuted, 4);
+#if GHD_OBS_ENABLED
+  const obs::CounterSnapshot s = obs::SnapshotCounters();
+  EXPECT_EQ(s.counter(obs::Counter::kHwFloorRefutations), floor_refuted);
+  obs::ResetCounters();
+  obs::EnableCounters(false);
+#endif
+}
+
+TEST(CachedSolverTest, CyclicClassesSkipTheFirstRung) {
+  for (const Hypergraph& h :
+       {CycleHypergraph(64), CycleHypergraph(256), TriangleStripHypergraph(16),
+        TriangleStripHypergraph(64)}) {
+    const PreparedInstance p = PrepareInstance(h);
+    Budget governor;
+    KDeciderOptions options;
+    options.budget = &governor;
+    const CachedDecideResult r = CachedDecideHw(p, 2, nullptr, options);
+    ASSERT_TRUE(r.decided);
+    EXPECT_TRUE(r.exists);
+    EXPECT_EQ(r.width, 2);
+    // Exactly the work of one k = 2 search: no k = 1 rung ran before it.
+    Budget alone;
+    KDeciderOptions alone_options;
+    alone_options.budget = &alone;
+    ASSERT_TRUE(
+        HypertreeWidthAtMost(CanonicalInstance(p), 2, alone_options).exists);
+    EXPECT_EQ(governor.ticks_used(), alone.ticks_used());
+  }
+}
+
+TEST(CachedSolverTest, FloorSeesCyclesTheGhwBoundMisses) {
+  // Not conformal: no edge holds the triangle a, b, c. Its 3 vertices fit in
+  // one 3-edge, so the tw x set-cover bound is 1; GYO strips x, y, z and is
+  // left with the triangle, so the floor is 2.
+  HypergraphBuilder b;
+  b.AddEdge("e1", {"a", "b", "x"});
+  b.AddEdge("e2", {"b", "c", "y"});
+  b.AddEdge("e3", {"c", "a", "z"});
+  const Hypergraph h = std::move(b).Build();
+  EXPECT_EQ(GhwLowerBound(h), 1);
+  EXPECT_EQ(HwLowerBound(h), 2);
+
+  DecompCache cache;
+  const PreparedInstance p = PrepareInstance(h);
+  Budget governor;
+  KDeciderOptions options;
+  options.budget = &governor;
+  const CachedDecideResult no = CachedDecideHw(p, 1, &cache, options);
+  ASSERT_TRUE(no.decided);
+  EXPECT_FALSE(no.exists);
+  EXPECT_EQ(governor.ticks_used(), 0);
+  CacheEntry entry;
+  ASSERT_TRUE(cache.Lookup(p.key(), &entry));
+  EXPECT_EQ(entry.hw_lb, 2);
+  const CachedDecideResult yes = CachedDecideHw(p, 2, &cache);
+  ASSERT_TRUE(yes.decided);
+  EXPECT_TRUE(yes.exists);
+  EXPECT_EQ(yes.width, 2);
+}
+
+TEST(CachedSolverTest, TruncationAfterARefutedRungIsUndecided) {
+  // hw = 3 over a floor of 2: the k = 2 rung refutes, and a budget that ends
+  // inside the k = 3 rung leaves the ask at k = 3 undecided, never "no".
+  const PreparedInstance p =
+      PrepareInstance(RandomUniformHypergraph(12, 10, 3, /*seed=*/2));
+  const Hypergraph canon = CanonicalInstance(p);
+  ASSERT_EQ(HwLowerBound(canon), 2);
+  Budget probe;
+  KDeciderOptions probe_options;
+  probe_options.budget = &probe;
+  ASSERT_FALSE(HypertreeWidthAtMost(canon, 2, probe_options).exists);
+
+  DecompCache cache;
+  Budget governor;
+  governor.SetTickBudget(probe.ticks_used() + 1);
+  KDeciderOptions options;
+  options.budget = &governor;
+  const CachedDecideResult cut = CachedDecideHw(p, 3, &cache, options);
+  EXPECT_FALSE(cut.decided);
+  // The refuted rung is certified and still merged.
+  CacheEntry entry;
+  ASSERT_TRUE(cache.Lookup(p.key(), &entry));
+  EXPECT_EQ(entry.hw_lb, 3);
+  EXPECT_EQ(entry.hw_ub, -1);
+
+  const CachedDecideResult full = CachedDecideHw(p, 3, &cache);
+  ASSERT_TRUE(full.decided);
+  EXPECT_TRUE(full.exists);
+  EXPECT_EQ(full.width, 3);
+}
+
+// Every serving-path verdict and width equals the independent ladder's, on
+// data/*.hg and the repeat_batch catalogue under 3 relabelings each. Rungs
+// get a budget each; (instance, k) pairs the oracle cannot settle within it
+// (grids 6x6 and 7x7 at k = 3) are skipped.
+constexpr long kDifferentialTicks = 200000;
+
+void ExpectCachedMatchesOracle(const Hypergraph& h, const std::string& name,
+                               uint64_t seed) {
+  // hw is invariant under relabeling: one oracle run serves all three.
+  const std::vector<int> oracle = LadderOracle(h, 3, kDifferentialTicks);
+  Rng rng(seed);
+  for (int rep = 0; rep < 3; ++rep) {
+    const Hypergraph g = RandomRelabeling(h, &rng);
+    const PreparedInstance p = PrepareInstance(g);
+    DecompCache cache;
+    for (int k = 1; k <= 3; ++k) {
+      Budget governor(0, kDifferentialTicks);
+      KDeciderOptions options;
+      options.budget = &governor;
+      const CachedDecideResult r = CachedDecideHw(p, k, &cache, options);
+      if (oracle[k] < 0) continue;
+      const std::string what =
+          name + " relabeling " + std::to_string(rep) + " k=" +
+          std::to_string(k);
+      ASSERT_TRUE(r.decided) << what;
+      EXPECT_EQ(r.exists, oracle[k] == 1) << what;
+      if (r.exists) {
+        EXPECT_EQ(r.width, OracleWidth(oracle)) << what;
+        EXPECT_TRUE(r.decomposition.Validate(g).ok()) << what;
+      }
+    }
+  }
+}
+
+TEST(CachedSolverDifferentialTest, DataFilesMatchTheLadder) {
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(GHD_DATA_DIR)) {
+    if (entry.path().extension() != ".hg") continue;
+    Result<Hypergraph> parsed = LoadHg(entry.path().string());
+    ASSERT_TRUE(parsed.ok()) << entry.path();
+    ExpectCachedMatchesOracle(parsed.value(),
+                              entry.path().filename().string(), 70 + files);
+    ++files;
+  }
+  EXPECT_GE(files, 10);
+}
+
+TEST(CachedSolverDifferentialTest, RepeatBatchCatalogueMatchesTheLadder) {
+  const auto catalogue = RepeatBatchCatalogue();
+  ASSERT_EQ(catalogue.size(), 89u);
+  uint64_t seed = 2000;
+  for (const auto& [name, h] : catalogue) {
+    ExpectCachedMatchesOracle(h, name, seed++);
+  }
 }
 
 TEST(CachedSolverTest, AnytimeExactIntervalIsCachedAndServed) {

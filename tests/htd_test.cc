@@ -1,4 +1,5 @@
 #include "core/ghw_exact.h"
+#include "core/ghw_lower.h"
 #include "gen/circuits.h"
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
@@ -96,24 +97,35 @@ TEST(HypertreeWidthTest, DecompositionIsValidatedGhd) {
 }
 
 TEST(HypertreeWidthTest, LastFailedKTracksLowerBound) {
-  // The iteration starts at the GHW lower bound (2 for C_5), so k = 1 is
-  // never tried and last_failed_k stays 0.
+  // The iteration starts at the hw floor (2 for C_5), so k = 1 is never
+  // tried and last_failed_k stays 0.
   HypertreeWidthResult r = HypertreeWidth(CycleHypergraph(5));
   ASSERT_TRUE(r.exact);
   EXPECT_EQ(r.width, 2);
+  EXPECT_EQ(r.lower_bound, 2);
   EXPECT_EQ(r.last_failed_k, 0);
 
-  // An instance whose lower bound is 1 but whose hw is 2 does record the
-  // failed k = 1: the triangle strip (rank 2, tw lower bound 2 would give
-  // lb 2 again) — use a sparse cyclic instance instead.
+  // A non-conformal cyclic instance: its GHW lower bound is 1, but the
+  // floor knows hw >= 2 from cyclicity, so k = 1 is never tried either.
   HypergraphBuilder b;
   b.AddEdge("e1", {"a", "b", "p"});
   b.AddEdge("e2", {"b", "c", "q"});
   b.AddEdge("e3", {"c", "a", "r"});
-  HypertreeWidthResult r2 = HypertreeWidth(std::move(b).Build());
+  const Hypergraph triangle = std::move(b).Build();
+  EXPECT_EQ(GhwLowerBound(triangle), 1);
+  HypertreeWidthResult r2 = HypertreeWidth(triangle);
   ASSERT_TRUE(r2.exact);
   EXPECT_EQ(r2.width, 2);
-  EXPECT_EQ(r2.last_failed_k, 1);
+  EXPECT_EQ(r2.lower_bound, 2);
+  EXPECT_EQ(r2.last_failed_k, 0);
+
+  // An instance whose hw exceeds its floor records the failed rung.
+  HypertreeWidthResult r3 =
+      HypertreeWidth(RandomUniformHypergraph(12, 10, 3, /*seed=*/2));
+  ASSERT_TRUE(r3.exact);
+  EXPECT_EQ(r3.lower_bound, 2);
+  EXPECT_EQ(r3.width, 3);
+  EXPECT_EQ(r3.last_failed_k, 2);
 }
 
 TEST(HypertreeWidthTest, MaxKStopsEarly) {

@@ -1,18 +1,24 @@
 // Incremental re-decomposition: ApplyEdgeDelta bookkeeping, the
 // incremental-vs-scratch equivalence contract (randomized mutation sweeps
 // at the 63/64/65-vertex bitset word boundaries, component splits and
-// merges), delta-scoped retention, the version verdict memo, and the
-// memo-poisoning sentinel under counters. The threaded sweep runs in the
-// TSan CI job.
+// merges), delta-scoped retention, the version verdict memo and its hw-floor
+// seed, the memo-poisoning sentinel under counters, and a differential check
+// against the independent ladder. The threaded sweep runs in the TSan CI job.
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "cache/decomp_cache.h"
 #include "core/incremental.h"
 #include "core/k_decider.h"
 #include "gen/generators.h"
 #include "gtest/gtest.h"
+#include "htd/det_k_decomp.h"
+#include "hypergraph/hg_io.h"
 #include "hypergraph/hypergraph.h"
 #include "obs/obs.h"
+#include "test_instances.h"
+#include "util/resource_governor.h"
 #include "util/rng.h"
 
 namespace ghd {
@@ -289,6 +295,111 @@ TEST(IncrementalSolverTest, AttachedCacheServesAndLearns) {
   EXPECT_TRUE(r.from_cache);
   EXPECT_EQ(other.stats().full_solves, 0);
   EXPECT_GT(other.stats().cache_served, 0);
+}
+
+// --- the certified hw floor -------------------------------------------------
+
+TEST(IncrementalSolverTest, FloorRefutedVersionsAreServedByTheMemo) {
+  // A grid 5x5 stream at k = 2: every version whose floor exceeds 2 is
+  // answered by the version memo, without a warm solve or a bootstrap.
+  Rng rng(43);
+  IncrementalSolver solver(Grid2dHypergraph(5, 5));
+  Hypergraph scratch = solver.current();
+  int floor_refuted = 0;
+  auto check_decide = [&](const char* what) {
+    const int floor = HwLowerBound(solver.current());
+    const IncrementalStats before = solver.stats();
+    const IncrementalDecideResult r = solver.DecideHw(2);
+    ASSERT_TRUE(r.decided) << what;
+    EXPECT_EQ(r.exists, ScratchDecide(scratch, 2))
+        << what << " v" << solver.version();
+    if (floor <= 2) return;
+    ++floor_refuted;
+    EXPECT_FALSE(r.exists) << what;
+    EXPECT_TRUE(r.from_cache) << what;
+    EXPECT_FALSE(r.incremental) << what;
+    EXPECT_EQ(solver.stats().fingerprint_served,
+              before.fingerprint_served + 1) << what;
+    EXPECT_EQ(solver.stats().full_solves, before.full_solves) << what;
+    EXPECT_EQ(solver.stats().incremental_solves, before.incremental_solves)
+        << what;
+  };
+  auto apply_both = [&](const EdgeDelta& d) {
+    solver.Apply(d);
+    scratch = ApplyEdgeDelta(scratch, d).next;
+  };
+  check_decide("initial");
+  for (int round = 0; round < 8; ++round) {
+    const int victim = rng.UniformInt(solver.current().num_edges());
+    const std::string name = solver.current().edge_name(victim);
+    const VertexSet verts = solver.current().edge(victim);
+    apply_both(RemoveDelta(victim));
+    check_decide("after remove");
+    apply_both(InsertDelta(name, verts));
+    check_decide("after restore");
+  }
+  // The initial grid and every restore of it are floor-refuted.
+  EXPECT_GE(floor_refuted, 9);
+}
+
+// Every verdict, and so the width, equals the independent ladder's, on
+// data/*.hg and the repeat_batch catalogue under 3 relabelings each, asked
+// at k = 1, 2, 3 in turn on one solver with a cache attached. Asks the
+// oracle cannot settle within its per-rung budget (grids 6x6 and 7x7 at
+// k = 3) are skipped.
+constexpr long kDifferentialTicks = 200000;
+
+void ExpectIncrementalMatchesOracle(const Hypergraph& h,
+                                    const std::string& name, uint64_t seed) {
+  // hw is invariant under relabeling: one oracle run serves all three.
+  const std::vector<int> oracle = LadderOracle(h, 3, kDifferentialTicks);
+  Rng rng(seed);
+  for (int rep = 0; rep < 3; ++rep) {
+    const Hypergraph g = RandomRelabeling(h, &rng);
+    DecompCache cache;
+    Budget governor(0, 3 * kDifferentialTicks);
+    IncrementalOptions opts;
+    opts.cache = &cache;
+    opts.budget = &governor;
+    IncrementalSolver solver(g, opts);
+    int width = -1;
+    for (int k = 1; k <= 3; ++k) {
+      const IncrementalDecideResult r = solver.DecideHw(k);
+      if (oracle[k] < 0) break;
+      const std::string what =
+          name + " relabeling " + std::to_string(rep) + " k=" +
+          std::to_string(k);
+      ASSERT_TRUE(r.decided) << what;
+      EXPECT_EQ(r.exists, oracle[k] == 1) << what;
+      if (r.exists && width < 0) width = k;
+    }
+    if (OracleWidth(oracle) > 0) {
+      EXPECT_EQ(width, OracleWidth(oracle)) << name << " relabeling " << rep;
+    }
+  }
+}
+
+TEST(IncrementalDifferentialTest, DataFilesMatchTheLadder) {
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(GHD_DATA_DIR)) {
+    if (entry.path().extension() != ".hg") continue;
+    Result<Hypergraph> parsed = LoadHg(entry.path().string());
+    ASSERT_TRUE(parsed.ok()) << entry.path();
+    ExpectIncrementalMatchesOracle(
+        parsed.value(), entry.path().filename().string(), 90 + files);
+    ++files;
+  }
+  EXPECT_GE(files, 10);
+}
+
+TEST(IncrementalDifferentialTest, RepeatBatchCatalogueMatchesTheLadder) {
+  const auto catalogue = RepeatBatchCatalogue();
+  ASSERT_EQ(catalogue.size(), 89u);
+  uint64_t seed = 3000;
+  for (const auto& [name, h] : catalogue) {
+    ExpectIncrementalMatchesOracle(h, name, seed++);
+  }
 }
 
 // --- sentinel: no unsound memoization, whatever the schedule ----------------

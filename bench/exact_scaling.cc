@@ -19,7 +19,6 @@
 int main(int argc, char** argv) {
   using namespace ghd;
   const bool full = bench::WantFull(argc, argv);
-  const int num_threads = bench::ThreadsArg(argc, argv, 1);
   std::cout << "E2: exact GHW on uniform random 3-hypergraphs\n"
             << "    (paper: NP-complete even for k=3 => expect exponential growth)\n\n";
   Table table({"n", "m", "median_ms", "avg_nodes", "growth_vs_prev"});
@@ -36,7 +35,6 @@ int main(int argc, char** argv) {
       WallTimer t;
       ExactGhwOptions options;
       options.time_limit_seconds = full ? 60.0 : 10.0;
-      options.num_threads = num_threads;
       ExactGhwResult r = ExactGhw(h, options);
       times.push_back(t.ElapsedMillis());
       nodes += r.nodes_visited;
@@ -51,7 +49,6 @@ int main(int argc, char** argv) {
     record.instance = "rand_u3_n" + std::to_string(n);
     record.wall_ms = median;
     record.states = nodes / 3;
-    record.threads = num_threads;
     record.extra.emplace_back("n", std::to_string(n));
     record.extra.emplace_back("m", std::to_string(m));
     records.push_back(std::move(record));

@@ -76,7 +76,7 @@ void BM_InternerThroughput(benchmark::State& state) {
     v.Set(s % n);
     sets.push_back(std::move(v));
   }
-  SetInterner interner(1);
+  SetInterner interner;
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(interner.Intern(sets[i & 255]));

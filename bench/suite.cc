@@ -8,13 +8,13 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
 
 #include "gen/circuits.h"
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
 #include "hypergraph/kernels.h"
 #include "obs/obs.h"
+#include "util/thread_pool.h"
 
 namespace ghd {
 namespace bench {
@@ -104,18 +104,6 @@ bool WantForce(int argc, char** argv) {
   return false;
 }
 
-int ThreadsArg(int argc, char** argv, int fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      return std::atoi(argv[i] + 10);
-    }
-  }
-  return fallback;
-}
-
 namespace {
 
 std::string JsonEscape(const std::string& s) {
@@ -172,7 +160,7 @@ void WriteBenchJson(const std::string& bench_name, bool full,
       << "  \"kernel_dispatch\": \""
       << kernels::KernelDispatchName(kernels::SelectedDispatch()) << "\",\n"
       << "  \"full\": " << (full ? "true" : "false") << ",\n"
-      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+      << "  \"hardware_threads\": " << UsableCpus()
       << ",\n"
       << "  \"records\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {

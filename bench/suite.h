@@ -32,10 +32,8 @@ bool WantFull(int argc, char** argv);
 /// BENCH_<name>.json).
 bool WantForce(int argc, char** argv);
 
-/// Value of "--threads N" / "--threads=N" in argv, or `fallback`.
-int ThreadsArg(int argc, char** argv, int fallback = 1);
-
-/// One machine-readable measurement row: an instance run at a thread count.
+/// One machine-readable measurement row: an instance run, on `threads`
+/// threads when the row times a fan-out of whole requests.
 /// `extra` holds additional fields; values are emitted verbatim into the
 /// JSON, so pass valid literals ("2", "true", "\"grid\"").
 struct BenchRecord {
@@ -74,7 +72,12 @@ struct BenchRecord {
 /// extras ("memo_retention", "incremental_solves", "full_solves",
 /// "cache_served"), and extended repeat_traffic's serving records with
 /// "cold_ms_p99" / "warm_ms_p99" tail percentiles next to the existing p50s.
-inline constexpr int kBenchSchemaVersion = 8;
+/// Version 9 made "hardware_threads" the count of CPUs in the process's
+/// affinity mask (UsableCpus, util/thread_pool.h), so a run pinned with
+/// `taskset -c 1` records 1. Every search runs on one thread, so the suite
+/// harness's per-instance records all carry threads = 1; only its
+/// "_suite_fanout" records time whole requests on several threads.
+inline constexpr int kBenchSchemaVersion = 9;
 
 /// q-th percentile (0 < q <= 1) of `samples` by the nearest-rank method;
 /// 0 when empty. Backs the v6 per-record wall-time percentiles.
@@ -86,7 +89,7 @@ double Percentile(std::vector<double> samples, double q);
 std::string AttrTopJson(size_t limit);
 
 /// Writes BENCH_<bench_name>.json in the working directory: run metadata
-/// (schema version, bench name, --full flag, hardware thread count) plus
+/// (schema version, bench name, --full flag, usable CPU count) plus
 /// every record. The perf trajectory of the solvers is tracked from these
 /// files, so an existing file is never clobbered unless `force` is true
 /// (wire it to WantForce so users opt in with --force). The write goes to a

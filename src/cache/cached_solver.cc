@@ -161,7 +161,7 @@ CachedDecideResult CachedDecideHw(const PreparedInstance& p, int k,
   }
   const int start_k = std::max({1, learned.hw_lb, entry.hw_lb});
   const GuardFamily family = OriginalEdgesFamily(canon_h);
-  KLadderContext ladder(canon_h, family, options.num_threads);
+  KLadderContext ladder(canon_h, family);
   for (int kk = start_k; kk <= k; ++kk) {
     const KDeciderResult r = DecideWidthK(canon_h, family, kk, options,
                                           &ladder);

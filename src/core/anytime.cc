@@ -127,7 +127,7 @@ void RunLadder(const Hypergraph& h, int trivial_ub,
     GHD_SPAN_VAR(span, "anytime", "rung:subset-dp");
     GHD_BOARD_RUNG("subset-dp");
     GHD_ATTR_SCOPE(rung_attr, "subset-dp");
-    dp_width = GhwBySubsetDp(h, options.num_threads, root);
+    dp_width = GhwBySubsetDp(h, root);
     if (dp_width.has_value()) {
       span.SetArg("width", *dp_width);
       GHD_CHECK(*dp_width >= result.lower_bound);
@@ -156,7 +156,6 @@ void RunLadder(const Hypergraph& h, int trivial_ub,
       slice->AttachParent(root);
       exact_options.budget = &*slice;
     }
-    exact_options.num_threads = options.num_threads;
     exact_options.heuristic_restarts = 0;  // rung 3 already did this
     exact_options.seed = options.seed;
     if (dp_width.has_value()) exact_options.stop_at_width = *dp_width;
@@ -185,7 +184,6 @@ void RunLadder(const Hypergraph& h, int trivial_ub,
     GHD_ATTR_SCOPE(rung_attr, "det-k-decomp");
     KDeciderOptions kd_options;
     kd_options.budget = root;
-    kd_options.num_threads = options.num_threads;
     HypertreeWidthResult hw =
         HypertreeWidth(h, /*max_k=*/result.upper_bound, kd_options);
     if (hw.exact) {

@@ -40,8 +40,6 @@ struct AnytimeOptions {
   /// null a private root budget is built from the three fields above and
   /// armed from GHD_FAULT_TICKS.
   Budget* budget = nullptr;
-  /// Threads for the engines that support parallelism; 1 = sequential.
-  int num_threads = 1;
   /// Restarts for the randomized upper-bound heuristic.
   int heuristic_restarts = 8;
   uint64_t seed = 1;

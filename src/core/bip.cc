@@ -1,7 +1,5 @@
 #include "core/bip.h"
 
-#include <atomic>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -12,14 +10,13 @@
 #include "obs/obs.h"
 #include "util/check.h"
 #include "util/set_interner.h"
-#include "util/thread_pool.h"
 
 namespace ghd {
 namespace {
 
 // Per-parent output of the demand-driven enumeration: the parent's candidate
 // subedges in deterministic emission order (interned ids, deduped within the
-// parent; cross-parent duplicates drop at the sequential merge).
+// parent; cross-parent duplicates drop at the merge).
 struct ParentCandidates {
   std::vector<uint32_t> ids;
   long probed = 0;
@@ -40,8 +37,8 @@ struct ParentCandidates {
 // minimum, and a strictly smaller arrival re-enqueues), so the expansion
 // with atom i_{t+1} happens while t < m <= max_arity levels remain.
 void EnumerateParent(const Hypergraph& h, int e, int max_arity,
-                     size_t max_guards, std::atomic<size_t>* emitted_total,
-                     std::atomic<bool>* capped, Budget* budget,
+                     size_t max_guards, size_t* emitted_total, bool* capped,
+                     Budget* budget,
                      SetInterner* interner, ParentCandidates* out) {
   const VertexSet& edge = h.edge(e);
   // Distinct nonempty atoms in first-seen (f ascending) order. Atoms equal
@@ -89,9 +86,8 @@ void EnumerateParent(const Hypergraph& h, int e, int max_arity,
       best_from.emplace(id, from);
       out->ids.push_back(id);
       next.push_back(Entry{id, from});
-      const size_t total = emitted_total->fetch_add(1) + 1;
-      if (total >= max_guards) {
-        capped->store(true, std::memory_order_relaxed);
+      if (++*emitted_total >= max_guards) {
+        *capped = true;
         return false;
       }
     } else if (it->second > from) {
@@ -122,7 +118,7 @@ void EnumerateParent(const Hypergraph& h, int e, int max_arity,
         if (s == edge) continue;  // not a proper subedge (dead end: stays e)
         if (!emit(s, i + 1)) return;
       }
-      if (capped->load(std::memory_order_relaxed)) return;
+      if (*capped) return;
     }
     frontier.swap(next);
   }
@@ -156,30 +152,20 @@ SubedgeClosureResult BipSubedgeClosure(const Hypergraph& h,
   Budget local_budget;  // unlimited unless the caller shares a governor
   Budget* budget = options.budget != nullptr ? options.budget : &local_budget;
 
-  const int threads = ThreadPool::EffectiveThreads(options.num_threads);
-  // One interner shard when sequential (mirrors the decider): no contention
-  // to spread, and shard setup is per-call overhead.
-  SetInterner interner(threads > 1 ? 16 : 1);
+  SetInterner interner;
   std::vector<ParentCandidates> per_parent(h.num_edges());
-  std::atomic<size_t> emitted_total{0};
-  std::atomic<bool> capped{false};
-
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1 && h.num_edges() > 1) {
-    pool = std::make_unique<ThreadPool>(threads);
-  }
-  ParallelFor(pool.get(), 0, h.num_edges(), [&](int e) {
-    if (capped.load(std::memory_order_relaxed) || budget->Stopped()) return;
+  size_t emitted_total = 0;
+  bool capped = false;
+  for (int e = 0; e < h.num_edges() && !capped && !budget->Stopped(); ++e) {
     EnumerateParent(h, e, options.max_union_arity, options.max_guards,
                     &emitted_total, &capped, budget, &interner,
                     &per_parent[e]);
-  });
+  }
 
-  // Sequential merge in parent order: the family starts with the original
-  // edges, then takes each parent's candidates in emission order. Dedup is
-  // by interned id, so a subedge reachable from several parents is kept once
-  // (first parent in id order wins — deterministic at every thread count for
-  // complete runs; a truncated run may differ in which suffix is missing).
+  // Merge in parent order: the family starts with the original edges, then
+  // takes each parent's candidates in emission order. Dedup is by interned
+  // id, so a subedge reachable from several parents is kept once (first
+  // parent in id order wins).
   result.family = OriginalEdgesFamily(h);
   std::unordered_set<uint32_t> in_family;
   in_family.reserve(h.num_edges() * 2);
@@ -191,7 +177,7 @@ SubedgeClosureResult BipSubedgeClosure(const Hypergraph& h,
     for (uint32_t id : per_parent[e].ids) {
       if (result.family.guards.size() >=
           static_cast<size_t>(options.max_guards)) {
-        capped.store(true, std::memory_order_relaxed);
+        capped = true;
         break;
       }
       if (in_family.insert(id).second) {
@@ -250,7 +236,7 @@ SubedgeClosureResult BipSubedgeClosure(const Hypergraph& h,
   if (budget->Stopped()) {
     result.stop = ClosureStop::kBudget;
     result.stop_reason = budget->reason();
-  } else if (capped.load(std::memory_order_relaxed)) {
+  } else if (capped) {
     result.stop = ClosureStop::kGuardCap;
     result.stop_reason = StopReason::kGuardCap;
   }
@@ -320,9 +306,6 @@ KDeciderResult BipGhwDecide(const Hypergraph& h, int k,
   if (closure_options.budget == nullptr) {
     closure_options.budget = decider_options.budget;
   }
-  if (closure_options.num_threads == 1 && decider.num_threads != 1) {
-    closure_options.num_threads = decider.num_threads;
-  }
 
   const SubedgeClosureResult c = BipSubedgeClosure(h, closure_options);
   GHD_BOARD_PHASE("bip-decide");
@@ -368,7 +351,7 @@ ClosureGhwResult GhwViaFullClosure(const Hypergraph& h, size_t max_guards,
   // One ladder context for the whole k-iteration: interner, cover index, and
   // the monotone positive memo carry across rungs (a state decomposable at
   // width k stays decomposable at k+1); negatives are discarded per rung.
-  KLadderContext ladder(h, closure.family, decider_options.num_threads);
+  KLadderContext ladder(h, closure.family);
   for (int k = 1; k <= h.num_edges(); ++k) {
     KDeciderResult r =
         DecideWidthK(h, closure.family, k, decider_options, &ladder);

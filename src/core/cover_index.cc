@@ -89,31 +89,17 @@ NegSeparatorCache::NegSeparatorCache(size_t slot_count) {
   mask_ = n - 1;
 }
 
-NegSeparatorCache::~NegSeparatorCache() {
-  delete[] slots_.load(std::memory_order_relaxed);
-}
-
 size_t NegSeparatorCache::SlotOf(uint64_t key) const {
   return static_cast<size_t>(SplitMix64(key)) & mask_;
 }
 
 bool NegSeparatorCache::Contains(uint64_t key) const {
-  const std::atomic<uint64_t>* slots = slots_.load(std::memory_order_acquire);
-  if (slots == nullptr) return false;
-  return slots[SlotOf(key)].load(std::memory_order_relaxed) == key;
+  return !slots_.empty() && slots_[SlotOf(key)] == key;
 }
 
 void NegSeparatorCache::Insert(uint64_t key) {
-  std::atomic<uint64_t>* slots = slots_.load(std::memory_order_acquire);
-  if (slots == nullptr) {
-    std::lock_guard<std::mutex> lock(alloc_mu_);
-    slots = slots_.load(std::memory_order_relaxed);
-    if (slots == nullptr) {
-      slots = new std::atomic<uint64_t>[mask_ + 1]();
-      slots_.store(slots, std::memory_order_release);
-    }
-  }
-  slots[SlotOf(key)].store(key, std::memory_order_relaxed);
+  if (slots_.empty()) slots_.assign(mask_ + 1, 0);
+  slots_[SlotOf(key)] = key;
 }
 
 }  // namespace ghd

@@ -14,8 +14,7 @@
 // ordered by how much of it they cover, then the rest by component coverage.
 // The λ-enumeration must cover the connector before it can succeed, so
 // connector-covering guards first moves successes toward the front of the
-// subset tree — and the first partition is the one the parallel decider runs
-// inline before speculating.
+// subset tree.
 //
 // Both directions of the index are BitMatrix strips (hypergraph/kernels.h):
 // guards_containing_ (one row per vertex over the guard universe) drives the
@@ -24,9 +23,7 @@
 #ifndef GHD_CORE_COVER_INDEX_H_
 #define GHD_CORE_COVER_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "core/k_decider.h"
@@ -60,7 +57,7 @@ class CoverIndex {
   BitMatrix guard_bits_;         // rows = guards, universe = vertices
 };
 
-/// Bounded, lock-free cache of (component, separator) pairs that are proven
+/// Bounded cache of (component, separator) pairs that are proven
 /// not to work: chi failed the progress rule or some child component of
 /// (component, chi) was refuted. Distinct guard subsets routinely union to
 /// the same chi, and without the cache each one re-splits the component and
@@ -80,7 +77,6 @@ class NegSeparatorCache {
   /// `slot_count` is rounded up to a power of two; the default (32768 slots,
   /// 256 KiB) is a per-search scratch structure.
   explicit NegSeparatorCache(size_t slot_count = size_t{1} << 15);
-  ~NegSeparatorCache();
 
   NegSeparatorCache(const NegSeparatorCache&) = delete;
   NegSeparatorCache& operator=(const NegSeparatorCache&) = delete;
@@ -101,16 +97,11 @@ class NegSeparatorCache {
   bool Contains(uint64_t key) const;
   void Insert(uint64_t key);
 
-  /// Visits every resident key (nonzero slot). Not synchronized against
-  /// concurrent inserters beyond per-slot atomicity; the rebind sweep of the
+  /// Visits every resident key (nonzero slot); the rebind sweep of the
   /// incremental solver calls it while no search is running.
   template <typename Fn>
   void ForEachKey(Fn fn) const {
-    const std::atomic<uint64_t>* slots =
-        slots_.load(std::memory_order_acquire);
-    if (slots == nullptr) return;
-    for (size_t i = 0; i <= mask_; ++i) {
-      const uint64_t key = slots[i].load(std::memory_order_relaxed);
+    for (uint64_t key : slots_) {
       if (key != 0) fn(key);
     }
   }
@@ -118,10 +109,7 @@ class NegSeparatorCache {
  private:
   size_t SlotOf(uint64_t key) const;
 
-  // Published with release on first insert; acquire-loaded by readers. Null
-  // until then.
-  std::atomic<std::atomic<uint64_t>*> slots_{nullptr};
-  std::mutex alloc_mu_;
+  std::vector<uint64_t> slots_;  // empty until the first insert
   size_t mask_;
 };
 

@@ -19,14 +19,12 @@ namespace ghd {
 inline constexpr int kMaxGhwDpVertices = 22;
 
 /// Exact ghw(H) via the subset DP; nullopt when the vertex count exceeds
-/// kMaxGhwDpVertices. With `num_threads` > 1 the DP runs layer by layer
-/// (masks grouped by popcount, each layer a parallel loop over the pool);
-/// <= 0 uses all hardware threads. The result is identical at every thread
-/// count — the DP has no search-order dependence. A non-null `budget` is
+/// kMaxGhwDpVertices. Masks are solved in increasing order, so every
+/// dp[mask \ v] is ready when dp[mask] reads it. A non-null `budget` is
 /// ticked once per DP cell and charged for the table upfront; on exhaustion
 /// the DP returns nullopt (inspect budget->reason() to distinguish
 /// truncation from the size cap).
-std::optional<int> GhwBySubsetDp(const Hypergraph& h, int num_threads = 1,
+std::optional<int> GhwBySubsetDp(const Hypergraph& h,
                                  Budget* budget = nullptr);
 
 }  // namespace ghd

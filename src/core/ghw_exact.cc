@@ -1,9 +1,6 @@
 #include "core/ghw_exact.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -14,34 +11,28 @@
 #include "obs/obs.h"
 #include "td/lower_bounds.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ghd {
 namespace {
 
-// State shared by every branch task of one exact-GHW search: the incumbent
-// (atomic upper bound + mutex-guarded witness ordering), the budget counters,
-// and the exact-cover memo. Branch tasks own their elimination prefix and
-// residual graph; everything here is concurrency-safe.
+// State of one exact-GHW search that outlives a branch: the incumbent (upper
+// bound + witness ordering), the budget counters, and the exact-cover memo.
+// The branch itself owns its elimination prefix and residual graph.
 struct Shared {
   const Hypergraph* h;
   std::vector<char> covered;  // by vertex: occurs in some hyperedge
   std::vector<int> edge_sizes;  // EdgeSizesDescending(*h)
   ExactGhwOptions options;
   Budget* budget = nullptr;
-  ThreadPool* pool = nullptr;
   // Exact covers are reused heavily across branches (the same bag shows up
   // under many prefixes) and across the restarts that found the warm start,
   // so one memo serves the whole ask.
   CoverMemo* memo = nullptr;
 
-  std::atomic<long> nodes{0};
-  std::atomic<bool> hit_stop_width{false};
-  std::atomic<int> ub{0};
-  std::mutex best_mu;
-  std::vector<int> best_ordering;  // guarded by best_mu
-
-  int Ub() const { return ub.load(std::memory_order_relaxed); }
+  long nodes = 0;
+  bool hit_stop_width = false;
+  int ub = 0;
+  std::vector<int> best_ordering;
 
   // The memo never holds truncated values: the cover solver runs unbudgeted
   // (small exact subproblems), and CoverBag checks it returned. This is the
@@ -68,29 +59,28 @@ struct Shared {
   bool Stopped() const { return budget->Stopped(); }
 
   bool ShouldStop() {
-    if (options.stop_at_width > 0 && Ub() <= options.stop_at_width) {
-      hit_stop_width.store(true, std::memory_order_relaxed);
+    if (options.stop_at_width > 0 && ub <= options.stop_at_width) {
+      hit_stop_width = true;
       return true;
     }
-    nodes.fetch_add(1, std::memory_order_relaxed);
+    ++nodes;
     GHD_COUNT(kBnbNodes);
     if (!budget->Tick()) return true;
-    return hit_stop_width.load(std::memory_order_relaxed);
+    return hit_stop_width;
   }
 
   void RecordSolution(int width, std::vector<int> ordering) {
-    std::lock_guard<std::mutex> lock(best_mu);
-    if (width < ub.load(std::memory_order_relaxed)) {
+    if (width < ub) {
       GHD_COUNT(kBnbSolutions);
       GHD_BOARD_SET(kBestUb, width);
-      ub.store(width, std::memory_order_relaxed);
+      ub = width;
       best_ordering = std::move(ordering);
     }
   }
 };
 
-// One branch of the search: elimination prefix, alive set, and the residual
-// primal graph handed to Recurse. Cheap to clone at the parallel fork.
+// The search path: elimination prefix and alive set, extended and undone
+// around each branch; the residual primal graph is handed to Recurse.
 struct Search {
   Shared* s;
   std::vector<int> prefix;
@@ -120,14 +110,13 @@ struct Search {
 
   // g = primal graph with the prefix eliminated; width_so_far = max exact
   // cover size of the bags closed so far on this path. `depth` counts real
-  // branch levels: at depth 0 with a pool, sibling branches fork as tasks
-  // sharing the incumbent for pruning.
+  // branch levels (the live board's frontier depth).
   void Recurse(const EliminationGraph& g, int width_so_far, int depth) {
     if (s->ShouldStop()) return;
     GHD_BOARD_SET(kFrontierDepth, depth);
 
     if (alive_count == 0) {
-      if (width_so_far < s->Ub()) AcceptSolution(width_so_far);
+      if (width_so_far < s->ub) AcceptSolution(width_so_far);
       return;
     }
 
@@ -140,7 +129,7 @@ struct Search {
     const int rest_cost =
         static_cast<int>(CoverBag(*s->h, bag, CoverMode::kGreedy).size());
     const int finish_now = std::max(width_so_far, rest_cost);
-    if (finish_now < s->Ub()) AcceptSolution(finish_now);
+    if (finish_now < s->ub) AcceptSolution(finish_now);
     if (rest_cost <= width_so_far) {  // Subtree can't beat finish-now.
       GHD_COUNT(kBnbPruneFinishNow);
       return;
@@ -150,7 +139,7 @@ struct Search {
     // the k-set-cover combination.
     const int tw_lb = MinorMinWidthLowerBound(g);
     const int node_lb = GhwLowerBoundFromTwBound(s->edge_sizes, tw_lb);
-    if (std::max(width_so_far, node_lb) >= s->Ub()) {
+    if (std::max(width_so_far, node_lb) >= s->ub) {
       GHD_COUNT(kBnbPruneLowerBound);
       return;
     }
@@ -163,7 +152,7 @@ struct Search {
         s->BagOf(g, v, &bag);
         const int cost = s->ExactCoverSize(bag);
         const int next_width = std::max(width_so_far, cost);
-        if (next_width >= s->Ub()) return;
+        if (next_width >= s->ub) return;
         EliminationGraph next = g;
         EliminateInto(&next, v);
         Recurse(next, next_width, depth);  // No branching: same depth.
@@ -181,45 +170,9 @@ struct Search {
     }
     std::sort(order.begin(), order.end());
 
-    if (depth == 0 && s->pool != nullptr && s->pool->parallel() &&
-        order.size() > 1) {
-      // Fork the root branches: each task clones this search, eliminates its
-      // vertex, and explores sequentially. The shared incumbent keeps the
-      // bound tight across tasks. Reverse submission: LIFO own-pop lets the
-      // helping waiter take the cheapest branch first, so good incumbents
-      // land early and prune the stolen tail.
-      TaskGroup group(s->pool);
-      for (size_t b = order.size(); b-- > 0;) {
-        const auto [cost, v] = order[b];
-        const int next_width = std::max(width_so_far, cost);
-        GHD_COUNT(kBnbRootForks);
-        group.Run([this, &g, v = v, next_width] {
-          if (next_width >= s->Ub()) return;
-          if (s->Stopped() ||
-              s->hit_stop_width.load(std::memory_order_relaxed)) {
-            return;
-          }
-          // Coarse per-branch span: one per root fork, so the trace shows
-          // which worker lane explored which subtree.
-          GHD_SPAN_VAR(span, "ghw", "bnb-branch");
-          span.SetArg("vertex", v);
-          Search branch;
-          branch.s = s;
-          branch.prefix = prefix;
-          branch.alive = alive;
-          branch.alive_count = alive_count;
-          EliminationGraph next = g;
-          branch.EliminateInto(&next, v);
-          branch.Recurse(next, next_width, 1);
-        });
-      }
-      group.Wait();
-      return;
-    }
-
     for (const auto& [cost, v] : order) {
       const int next_width = std::max(width_so_far, cost);
-      if (next_width >= s->Ub()) {
+      if (next_width >= s->ub) {
         GHD_COUNT(kBnbPruneIncumbent);
         continue;
       }
@@ -227,10 +180,7 @@ struct Search {
       EliminateInto(&next, v);
       Recurse(next, next_width, depth + 1);
       UndoEliminate(v);
-      if (s->Stopped() ||
-          s->hit_stop_width.load(std::memory_order_relaxed)) {
-        return;
-      }
+      if (s->Stopped() || s->hit_stop_width) return;
     }
   }
 };
@@ -244,8 +194,7 @@ struct Seed {
 
 // Without a seed the search computes both itself.
 ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
-                            ThreadPool* pool, Budget* budget,
-                            Seed* seed = nullptr) {
+                            Budget* budget, Seed* seed = nullptr) {
   ExactGhwResult result;
   if (h.num_edges() == 0 || h.num_vertices() == 0) {
     result.exact = true;
@@ -267,7 +216,6 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
   shared.edge_sizes = EdgeSizesDescending(h);
   shared.options = options;
   shared.budget = budget;
-  shared.pool = pool;
   shared.memo = memo;
   const EliminationGraph primal(h.Flat());
 
@@ -278,7 +226,7 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
                       : GhwUpperBoundMultiRestart(
                             h, std::max(1, options.heuristic_restarts),
                             options.seed, CoverMode::kExact, root_lb, memo);
-  shared.ub.store(warm.width, std::memory_order_relaxed);
+  shared.ub = warm.width;
 
   if (root_lb >= warm.width ||
       (options.stop_at_width > 0 && warm.width <= options.stop_at_width)) {
@@ -301,10 +249,9 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
     root.Recurse(primal, 0, 0);
   }
 
-  result.upper_bound = shared.Ub();
-  result.nodes_visited = shared.nodes.load(std::memory_order_relaxed);
-  result.exact = !budget->Stopped() &&
-                 !shared.hit_stop_width.load(std::memory_order_relaxed);
+  result.upper_bound = shared.ub;
+  result.nodes_visited = shared.nodes;
+  result.exact = !budget->Stopped() && !shared.hit_stop_width;
   result.outcome = budget->MakeOutcome();
   result.outcome.ticks = result.nodes_visited;
   result.outcome.complete = result.exact;
@@ -325,12 +272,9 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
 
 ExactGhwResult ExactGhwWithSeed(const Hypergraph& h,
                                 const ExactGhwOptions& options, Seed* seed) {
-  const int threads = ThreadPool::EffectiveThreads(options.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   Budget local_budget(options.time_limit_seconds, options.node_budget);
   Budget* budget = options.budget != nullptr ? options.budget : &local_budget;
-  return ExactGhwImpl(h, options, pool.get(), budget, seed);
+  return ExactGhwImpl(h, options, budget, seed);
 }
 
 }  // namespace
@@ -360,35 +304,20 @@ ExactGhwResult ExactGhwComponentwise(const Hypergraph& h,
   const std::vector<Hypergraph> parts = SplitIntoComponents(h);
   GHD_CHECK(parts.size() == groups.size());
 
-  const int threads = ThreadPool::EffectiveThreads(options.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
   // One governor across every component: the deadline and node budget are
   // global. (Before the governor each component silently got its own full
   // time limit — a k-component instance could run k times the deadline.)
   Budget local_budget(options.time_limit_seconds, options.node_budget);
   Budget* budget = options.budget != nullptr ? options.budget : &local_budget;
 
-  // Solve the components concurrently (they are independent searches), then
-  // stitch in deterministic component order.
-  std::vector<ExactGhwResult> part_results(parts.size());
-  {
-    TaskGroup group(pool.get());
-    for (size_t p = 0; p < parts.size(); ++p) {
-      group.Run([&, p] {
-        part_results[p] = ExactGhwImpl(parts[p], options, pool.get(), budget);
-      });
-    }
-    group.Wait();
-  }
-
+  // Solve the components one after another (they are independent searches)
+  // and stitch them in component order.
   ExactGhwResult combined;
   combined.exact = true;
   VertexSet ordered(h.num_vertices());
   int previous_root = -1;
   for (size_t p = 0; p < parts.size(); ++p) {
-    ExactGhwResult& part = part_results[p];
+    ExactGhwResult part = ExactGhwImpl(parts[p], options, budget);
     combined.exact = combined.exact && part.exact;
     combined.lower_bound = std::max(combined.lower_bound, part.lower_bound);
     combined.upper_bound = std::max(combined.upper_bound, part.upper_bound);

@@ -101,14 +101,13 @@ std::vector<int> CoverBag(const Hypergraph& h, const std::vector<int>& bag,
 CoverMemo::CoverMemo(const Hypergraph& h, CoverMode mode)
     : h_(&h), mode_(mode) {}
 
-CoverMemo::Slot* CoverMemo::Find(Shard* shard, uint64_t hash,
-                                 const std::vector<int>& bag) {
-  const size_t mask = shard->slots.size() - 1;
+CoverMemo::Slot* CoverMemo::Find(uint64_t hash, const std::vector<int>& bag) {
+  const size_t mask = slots_.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    Slot& slot = shard->slots[i];
+    Slot& slot = slots_[i];
     if (!slot.used) return &slot;
     if (slot.hash == hash && slot.key_size == bag.size() &&
-        std::equal(bag.begin(), bag.end(), shard->pool.begin() + slot.at)) {
+        std::equal(bag.begin(), bag.end(), pool_.begin() + slot.at)) {
       return &slot;
     }
   }
@@ -117,51 +116,41 @@ CoverMemo::Slot* CoverMemo::Find(Shard* shard, uint64_t hash,
 int CoverMemo::Cover(const std::vector<int>& bag, std::vector<int>* cover,
                      bool* computed) {
   const uint64_t hash = HashIds(bag);
-  // The low bits pick the slot inside a shard; the high ones the shard.
-  Shard& shard = shards_[hash >> 60];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!shard.slots.empty()) {
-      const Slot* slot = Find(&shard, hash, bag);
-      if (slot->used) {
-        GHD_COUNT(kCoverCacheHits);
-        if (computed != nullptr) *computed = false;
-        const auto first = shard.pool.begin() + slot->at + slot->key_size;
-        if (cover != nullptr) cover->assign(first, first + slot->cover_size);
-        return static_cast<int>(slot->cover_size);
-      }
+  if (!slots_.empty()) {
+    const Slot* slot = Find(hash, bag);
+    if (slot->used) {
+      GHD_COUNT(kCoverCacheHits);
+      if (computed != nullptr) *computed = false;
+      const auto first = pool_.begin() + slot->at + slot->key_size;
+      if (cover != nullptr) cover->assign(first, first + slot->cover_size);
+      return static_cast<int>(slot->cover_size);
     }
   }
   GHD_COUNT(kCoverCacheMisses);
   if (computed != nullptr) *computed = true;
   std::vector<int> fresh = CoverBag(*h_, bag, mode_);
   const int size = static_cast<int>(fresh.size());
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Keep the table at most half full.
-    if (2 * (shard.entries + 1) > shard.slots.size()) {
-      std::vector<Slot> old = std::move(shard.slots);
-      shard.slots.assign(std::max<size_t>(16, 2 * old.size()), Slot{});
-      const size_t mask = shard.slots.size() - 1;
-      for (const Slot& s : old) {
-        if (!s.used) continue;
-        size_t i = s.hash & mask;
-        while (shard.slots[i].used) i = (i + 1) & mask;
-        shard.slots[i] = s;
-      }
-    }
-    Slot* slot = Find(&shard, hash, bag);
-    if (!slot->used) {
-      slot->used = true;
-      slot->hash = hash;
-      slot->at = static_cast<uint32_t>(shard.pool.size());
-      slot->key_size = static_cast<uint32_t>(bag.size());
-      slot->cover_size = static_cast<uint32_t>(size);
-      shard.pool.insert(shard.pool.end(), bag.begin(), bag.end());
-      shard.pool.insert(shard.pool.end(), fresh.begin(), fresh.end());
-      ++shard.entries;
+  // Keep the table at most half full.
+  if (2 * (entries_ + 1) > slots_.size()) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, 2 * old.size()), Slot{});
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (!s.used) continue;
+      size_t i = s.hash & mask;
+      while (slots_[i].used) i = (i + 1) & mask;
+      slots_[i] = s;
     }
   }
+  Slot* slot = Find(hash, bag);
+  slot->used = true;
+  slot->hash = hash;
+  slot->at = static_cast<uint32_t>(pool_.size());
+  slot->key_size = static_cast<uint32_t>(bag.size());
+  slot->cover_size = static_cast<uint32_t>(size);
+  pool_.insert(pool_.end(), bag.begin(), bag.end());
+  pool_.insert(pool_.end(), fresh.begin(), fresh.end());
+  ++entries_;
   if (cover != nullptr) *cover = std::move(fresh);
   return size;
 }

@@ -6,7 +6,6 @@
 #define GHD_CORE_GHW_UPPER_H_
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "core/ghd.h"
@@ -42,10 +41,8 @@ std::vector<int> CoverBag(const Hypergraph& h, const std::vector<int>& bag,
 
 /// The covers of one ask, each distinct bag covered once. Keyed by the
 /// bag's ascending vertex ids; a value is CoverBag(h, bag, mode). Lookups
-/// count in cover_cache_hits / cover_cache_misses. Thread-safe: keys are
-/// striped over independently locked shards, and a cover is computed
-/// outside the lock (two threads may both compute a missing one; the values
-/// are equal).
+/// count in cover_cache_hits / cover_cache_misses. One open-addressing
+/// table, owned by the one thread that runs the ask.
 class CoverMemo {
  public:
   CoverMemo(const Hypergraph& h, CoverMode mode);
@@ -62,7 +59,7 @@ class CoverMemo {
             bool* computed = nullptr);
 
  private:
-  // One entry: its key and cover sit back to back in the shard's pool.
+  // One entry: its key and cover sit back to back in pool_.
   struct Slot {
     uint64_t hash = 0;
     uint32_t at = 0;
@@ -70,20 +67,15 @@ class CoverMemo {
     uint32_t cover_size = 0;
     bool used = false;
   };
-  struct Shard {
-    std::mutex mu;
-    std::vector<int32_t> pool;
-    std::vector<Slot> slots;
-    size_t entries = 0;
-  };
-  static constexpr int kShards = 16;
 
   // The slot holding `bag`, or the empty slot where it belongs.
-  static Slot* Find(Shard* shard, uint64_t hash, const std::vector<int>& bag);
+  Slot* Find(uint64_t hash, const std::vector<int>& bag);
 
   const Hypergraph* h_;
   CoverMode mode_;
-  Shard shards_[kShards];
+  std::vector<int32_t> pool_;
+  std::vector<Slot> slots_;
+  size_t entries_ = 0;
 };
 
 /// Builds the GHD induced by an elimination ordering of the primal graph:

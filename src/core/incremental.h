@@ -66,7 +66,8 @@ namespace ghd {
 inline constexpr double kMaxDirtyFraction = 0.25;
 
 struct IncrementalOptions {
-  /// Threads for the underlying deciders (1 = deterministic sequential).
+  /// Ignored: every decide runs on the calling thread. Kept so callers that
+  /// still set a thread count compile.
   int num_threads = 1;
   /// Optional decomposition cache consulted (and fed) by the cold-path full
   /// solves, serving returns to a previously-seen *isomorphism class*. Exact
@@ -112,8 +113,8 @@ struct IncrementalDecideResult {
 /// next delta). Invariant, enforced by the equivalence tests: every verdict
 /// equals the from-scratch verdict on the current version.
 ///
-/// Not thread-safe: one solver serves one mutation stream. The underlying
-/// deciders still parallelize internally per `options.num_threads`.
+/// Not thread-safe: one solver serves one mutation stream, and every decide
+/// runs on the calling thread.
 class IncrementalSolver {
  public:
   explicit IncrementalSolver(Hypergraph initial,

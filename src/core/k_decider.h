@@ -48,7 +48,7 @@ struct GuardFamily {
 /// The trivial family: the hyperedges of h themselves.
 GuardFamily OriginalEdgesFamily(const Hypergraph& h);
 
-/// Budget and parallelism knobs for the decider.
+/// Budget knobs for the decider. The search runs on the calling thread.
 struct KDeciderOptions {
   /// Limit on visited (component, connector) states plus λ evaluations;
   /// <= 0 means unlimited. Ignored when `budget` is set — the shared
@@ -57,11 +57,6 @@ struct KDeciderOptions {
   /// Shared resource governor (deadline, ticks, memory, cancellation). When
   /// null the decider runs under a private budget built from `state_budget`.
   Budget* budget = nullptr;
-  /// Executors for the search: 1 (default) runs the deterministic sequential
-  /// engine, n > 1 runs the work-stealing parallel engine on n threads,
-  /// <= 0 uses every hardware thread. The decision (exists / width) is the
-  /// same at every thread count; the witness tree may differ.
-  int num_threads = 1;
 };
 
 /// Decision outcome. When `decided && exists`, `decomposition` holds the
@@ -120,9 +115,11 @@ struct RebindStats {
 class KLadderContext {
  public:
   /// Builds the interner and cover index for (h, family); both must outlive
-  /// the context. `num_threads` sizes the interner's shard count.
-  KLadderContext(const Hypergraph& h, const GuardFamily& family,
-                 int num_threads = 1);
+  /// the context.
+  KLadderContext(const Hypergraph& h, const GuardFamily& family);
+  /// The same context. The third argument, once a thread count, is ignored;
+  /// the overload keeps callers that still pass one compiling.
+  KLadderContext(const Hypergraph& h, const GuardFamily& family, int ignored);
   ~KLadderContext();
 
   KLadderContext(const KLadderContext&) = delete;

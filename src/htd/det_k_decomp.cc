@@ -23,7 +23,7 @@ HypertreeWidthResult KLadder(const Hypergraph& h, int start, int max_k,
   HypertreeWidthResult result;
   result.lower_bound = start;
   const GuardFamily family = OriginalEdgesFamily(h);
-  KLadderContext ladder(h, family, options.num_threads);
+  KLadderContext ladder(h, family);
   for (int k = start; k <= max_k; ++k) {
     GHD_COUNT(kDetKIterations);
     GHD_SPAN_VAR(span, "htd", "det-k-decomp");

@@ -15,7 +15,6 @@ const char* const kCounterNames[kNumCounters] = {
     "bnb_prune_lower_bound",
     "bnb_prune_incumbent",
     "bnb_solutions",
-    "bnb_root_forks",
     "tw_nodes",
     "tw_reductions",
     "decider_states",
@@ -24,9 +23,6 @@ const char* const kCounterNames[kNumCounters] = {
     "decider_memo_inserts",
     "decider_memo_poisoned",
     "decider_lambda_tried",
-    "decider_or_forks",
-    "decider_and_forks",
-    "decider_cancels",
     "decider_unproven_false",
     "detk_iterations",
     "hw_floor_refutations",
@@ -41,9 +37,6 @@ const char* const kCounterNames[kNumCounters] = {
     "csp_nodes",
     "governor_ticks",
     "governor_stops",
-    "pool_submits",
-    "pool_local_pops",
-    "pool_steals",
     "ladder_rungs",
     "ladder_improvements",
     "bitset_inline_sets",
@@ -80,7 +73,6 @@ const char* const kCounterNames[kNumCounters] = {
 const char* const kGaugeNames[kNumGauges] = {
     "peak_bytes_charged",
     "max_guard_family",
-    "pool_queue_depth",
     "cache_bytes",
 };
 

@@ -29,7 +29,6 @@ enum class Counter : int {
   kBnbPruneLowerBound,  // subtree closed by the tw/k-set-cover lower bound
   kBnbPruneIncumbent,   // branch skipped: bag cost already >= incumbent
   kBnbSolutions,        // incumbent improvements recorded
-  kBnbRootForks,        // root branches forked onto the pool
   // Exact treewidth branch and bound (td/exact_treewidth).
   kTwNodes,             // branch nodes expanded
   kTwReductions,        // simplicial / almost-simplicial eliminations taken
@@ -40,9 +39,6 @@ enum class Counter : int {
   kDeciderMemoInserts,  // state memo insertions
   kDeciderMemoPoisoned, // REFUSED unsound negative memoizations; always 0
   kDeciderLambdaTried,  // complete guard choices evaluated
-  kDeciderOrForks,      // speculative OR-parallel guard partitions forked
-  kDeciderAndForks,     // AND-parallel component children forked
-  kDeciderCancels,      // cancel tokens fired (sibling won / sibling failed)
   kDeciderUnprovenFalse,// negative results discarded because of truncation
   kDetKIterations,      // k values tried by the hw(H) iteration
   // Certified hw floor (htd/det_k_decomp HwLowerBound) on the serving paths
@@ -70,10 +66,6 @@ enum class Counter : int {
   // Resource governor (util/resource_governor).
   kGovernorTicks,       // Budget::Tick calls across every engine
   kGovernorStops,       // budgets that hit a wall (first stop per budget)
-  // Work-stealing pool (util/thread_pool).
-  kPoolSubmits,         // tasks forked onto the pool
-  kPoolLocalPops,       // tasks popped from the owner's deque (LIFO)
-  kPoolSteals,          // tasks stolen from another deque (FIFO)
   // Anytime ladder (core/anytime).
   kLadderRungs,         // rungs recorded on the provenance trail
   kLadderImprovements,  // witness upper-bound improvements installed
@@ -126,7 +118,6 @@ enum class Counter : int {
 enum class Gauge : int {
   kPeakBytesCharged = 0,  // high-water of Budget::Charge accounting
   kMaxGuardFamily,        // largest guard family handed to the decider
-  kPoolQueueDepth,        // peak queued (submitted, not yet popped) pool tasks
   kCacheBytes,            // peak resident bytes of the decomposition cache
   kGaugeCount,            // sentinel
 };

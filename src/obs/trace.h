@@ -6,8 +6,8 @@
 // recording thread's ring. Rings are bounded — when full, the oldest events
 // are overwritten, so long runs keep the *recent* history, flame-graph style.
 // Each thread gets its own lane (Chrome "tid"), assigned on first use, so a
-// parallel search renders as one swimlane per worker in chrome://tracing or
-// Perfetto. Names, categories, and arg keys must be string literals: the
+// batch running requests side by side renders as one swimlane per worker in
+// chrome://tracing or Perfetto. Names, categories, and arg keys must be string literals: the
 // tracer stores the pointers, never copies, and the hot path allocates
 // nothing after the ring itself.
 //

@@ -156,7 +156,7 @@ int VertexSet::IntersectCount(const VertexSet& o) const {
 
 uint64_t VertexSet::Hash() const {
   // FNV-1a over the words plus the universe size, splitmix64-finalized so
-  // the low bits avalanche (they feed both map buckets and shard selection).
+  // the low bits avalanche (they feed the map buckets).
   uint64_t h = 14695981039346656037ull;
   auto mix = [&h](uint64_t v) {
     h ^= v;

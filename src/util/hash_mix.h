@@ -1,9 +1,9 @@
 // Shared hash mixing primitives. Every hot-path hasher in the library (the
-// bitset hash, interned-id memo keys, the striped maps) funnels through the
-// splitmix64 finalizer: full-avalanche in three multiply/xor rounds, so ids
-// that differ in one low bit land in unrelated stripes and buckets. The old
-// `h1 * 1000003 + h2` combiners kept the low bits of h2 nearly intact, which
-// striped both the memo shards and the unordered_map buckets.
+// bitset hash, interned-id memo keys) funnels through the splitmix64
+// finalizer: full-avalanche in three multiply/xor rounds, so ids that differ
+// in one low bit land in unrelated buckets. The old `h1 * 1000003 + h2`
+// combiners kept the low bits of h2 nearly intact, which striped the
+// unordered_map buckets.
 #ifndef GHD_UTIL_HASH_MIX_H_
 #define GHD_UTIL_HASH_MIX_H_
 
@@ -31,8 +31,8 @@ inline uint64_t PackIds(uint32_t hi, uint32_t lo) {
   return (static_cast<uint64_t>(hi) << 32) | lo;
 }
 
-/// unordered_map/StripedMap hasher for interned 32-bit ids: identity hashing
-/// would stripe the shards, so mix.
+/// unordered_map hasher for interned 32-bit ids: identity hashing would
+/// cluster consecutive ids in the buckets, so mix.
 struct IdHash {
   size_t operator()(uint32_t id) const {
     return static_cast<size_t>(SplitMix64(id));

@@ -1,175 +1,24 @@
 #include "util/thread_pool.h"
 
-#include <utility>
-
-#include "obs/obs.h"
-#include "util/check.h"
+#include <sched.h>
 
 namespace ghd {
-namespace {
 
-// Identifies the pool (and worker slot) the current thread belongs to, so
-// Submit can push to the local deque and Wait can help-run tasks.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker = -1;
-
-}  // namespace
-
-int ThreadPool::EffectiveThreads(int requested) {
-  if (requested > 0) return requested;
+int UsableCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return count;
+  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int num_threads) {
-  const int workers = num_threads - 1;
-  if (workers <= 0) return;
-  queues_.reserve(workers);
-  for (int i = 0; i < workers; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
-  workers_.reserve(workers);
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
-  idle_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  // Any still-queued task belongs to a TaskGroup whose Wait would never
-  // return; destroying a pool with live groups is a caller bug.
-  for (const auto& q : queues_) GHD_CHECK(q->tasks.empty());
-}
-
-void ThreadPool::Submit(std::function<void()> fn) {
-  GHD_DCHECK(parallel());
-  GHD_COUNT(kPoolSubmits);
-  int target;
-  if (tls_pool == this && tls_worker >= 0) {
-    target = tls_worker;  // Local push: LIFO pop keeps forks cache-hot.
-  } else {
-    const unsigned n = static_cast<unsigned>(queues_.size());
-    target = static_cast<int>(
-        static_cast<unsigned>(
-            next_queue_.fetch_add(1, std::memory_order_relaxed)) %
-        n);
-  }
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mu);
-    queues_[target]->tasks.push_back(std::move(fn));
-  }
-  GHD_GAUGE_MAX(kPoolQueueDepth,
-                queued_.fetch_add(1, std::memory_order_relaxed) + 1);
-  idle_cv_.notify_one();
-}
-
-std::function<void()> ThreadPool::NextTask(int self_index) {
-  // Own deque first, newest task (back).
-  if (self_index >= 0) {
-    Queue& own = *queues_[self_index];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      std::function<void()> fn = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      GHD_COUNT(kPoolLocalPops);
-      return fn;
-    }
-  }
-  // Steal the oldest task (front) from any other deque.
-  const int n = static_cast<int>(queues_.size());
-  const int start = self_index >= 0 ? self_index + 1 : 0;
-  for (int d = 0; d < n; ++d) {
-    const int i = (start + d) % n;
-    if (i == self_index) continue;
-    Queue& victim = *queues_[i];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      std::function<void()> fn = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      GHD_COUNT(kPoolSteals);
-      return fn;
-    }
-  }
-  return nullptr;
-}
-
-bool ThreadPool::RunOneTask() {
-  const int self = tls_pool == this ? tls_worker : -1;
-  std::function<void()> fn = NextTask(self);
-  if (!fn) return false;
-  fn();
-  return true;
-}
-
-void ThreadPool::WorkerLoop(int index) {
-  tls_pool = this;
-  tls_worker = index;
-  while (true) {
-    std::function<void()> fn = NextTask(index);
-    if (fn) {
-      fn();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    if (stop_.load(std::memory_order_acquire)) break;
-    // Re-check queues under the idle lock is not possible (per-queue locks),
-    // so sleep briefly and rescan; Submit's notify cuts the latency.
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
-  }
-  tls_pool = nullptr;
-  tls_worker = -1;
-}
-
-void TaskGroup::RunAndTrack(std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!error_) error_ = std::current_exception();
-  }
-  // Decrement and notify under mu_: Wait re-acquires mu_ after observing
-  // pending_ == 0, so no notification can touch the condvar after a waiter
-  // returned and destroyed the group.
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.fetch_sub(1, std::memory_order_acq_rel);
-  done_cv_.notify_all();
-}
-
-void TaskGroup::Run(std::function<void()> fn) {
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (pool_ == nullptr || !pool_->parallel()) {
-    RunAndTrack(fn);  // Inline sequential fallback, deterministic order.
-    return;
-  }
-  auto wrapped = std::make_shared<std::function<void()>>(std::move(fn));
-  pool_->Submit([this, wrapped] { RunAndTrack(*wrapped); });
-}
-
-void TaskGroup::Wait() {
-  while (pending_.load(std::memory_order_acquire) > 0) {
-    // Help drain the pool: the waiter is an executor, not a bystander.
-    if (pool_ != nullptr && pool_->parallel() && pool_->RunOneTask()) continue;
-    // Queues are drained, so every remaining task of this group is claimed
-    // and running on another executor; block until one completes. The
-    // decrement and notification happen under mu_, so the predicated wait
-    // cannot miss the last completion.
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-  }
-  std::exception_ptr error;
-  {
-    // Also orders this thread after the final decrementer's critical section
-    // (which notifies while holding mu_), making destruction safe.
-    std::lock_guard<std::mutex> lock(mu_);
-    std::swap(error, error_);
-  }
-  if (error) std::rethrow_exception(error);
+int WorkerCount(int requested, int usable_cpus, int tasks) {
+  int workers = std::max(1, usable_cpus);
+  if (requested > 0) workers = std::min(workers, requested);
+  return std::max(1, std::min(workers, tasks));
 }
 
 }  // namespace ghd

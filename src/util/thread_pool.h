@@ -1,138 +1,68 @@
-// Shared-memory parallel search substrate: a work-stealing task pool with a
-// fork-join API. All parallel solvers in this library (the width-k decider,
-// the exact GHW branch and bound, the subset DP, the bench fan-out) run on
-// this pool.
-//
-// Model:
-//  * `ThreadPool(n)` owns n-1 worker threads; the caller thread is the n-th
-//    executor (it helps run tasks while waiting on a `TaskGroup`).
-//  * Each worker keeps its own deque; it pops from the back (LIFO, cache
-//    locality for nested forks) and steals from the front of other deques
-//    (FIFO, coarse-grained oldest work first).
-//  * `TaskGroup` is the fork-join primitive: `Run` forks a task, `Wait`
-//    blocks until every task of the group finished, executing queued tasks
-//    while it waits, and rethrows the first exception any task raised.
-//  * Single-thread fallback: with `num_threads <= 1` (or a null pool) `Run`
-//    executes inline, immediately and in submission order — a deterministic
-//    sequential run with zero synchronization, used as the baseline in
-//    speedup measurements and by default everywhere (options default to 1).
+// Parallelism across requests. Every search in this library runs on one
+// thread; what runs concurrently is whole requests — the batch drivers
+// (ghd_cli decide-many / anytime-many) and the bench suite's fan-out hand
+// each worker one request at a time through ParallelFor.
 #ifndef GHD_UTIL_THREAD_POOL_H_
 #define GHD_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <exception>
-#include <functional>
-#include <memory>
 #include <mutex>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 namespace ghd {
 
-class ThreadPool {
- public:
-  /// Pool with `num_threads` total executors (the constructing thread counts
-  /// as one, so `num_threads - 1` workers are spawned). Values <= 1 create a
-  /// pool with no workers: everything runs inline on the caller.
-  explicit ThreadPool(int num_threads);
-  ~ThreadPool();
+/// CPUs this process may run on: the size of its sched_getaffinity mask, so
+/// a run under `taskset -c 1` sees 1. Falls back to
+/// std::thread::hardware_concurrency, and to 1 when that is unknown.
+int UsableCpus();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
+/// Workers for `tasks` independent requests when `requested` were asked for
+/// (<= 0 means "every usable CPU"): min(requested, usable_cpus, tasks), and
+/// at least 1. Pure, so the sizing is testable without starting threads.
+int WorkerCount(int requested, int usable_cpus, int tasks);
 
-  /// Total executors (workers + caller).
-  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
-
-  /// True when the pool has worker threads (i.e. forking can overlap work).
-  bool parallel() const { return !workers_.empty(); }
-
-  /// Resolves a requested thread count: <= 0 means "all hardware threads".
-  static int EffectiveThreads(int requested);
-
- private:
-  friend class TaskGroup;
-
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  /// Enqueues a task. Called by TaskGroup::Run.
-  void Submit(std::function<void()> fn);
-
-  /// Runs one queued task if any is available; used by workers and by
-  /// waiters helping out. Returns false when every deque was empty.
-  bool RunOneTask();
-
-  void WorkerLoop(int index);
-
-  /// Pops from the back of the calling worker's own deque, or steals from
-  /// the front of another; empty function when nothing was found.
-  std::function<void()> NextTask(int self_index);
-
-  std::vector<std::unique_ptr<Queue>> queues_;  // one per worker
-  std::vector<std::thread> workers_;
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<int> next_queue_{0};
-  std::atomic<bool> stop_{false};
-  // Submitted-but-not-yet-popped tasks across all deques; feeds the
-  // pool_queue_depth peak gauge (backpressure visibility for the live board).
-  std::atomic<int> queued_{0};
-};
-
-/// Fork-join group of tasks on a pool (or inline when `pool` is null or has
-/// no workers). Not reentrant: one thread forks and the same thread waits.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  ~TaskGroup() { Wait(); }
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Forks `fn`. Inline (immediate, deterministic order) without workers.
-  void Run(std::function<void()> fn);
-
-  /// Blocks until all forked tasks completed, helping to drain the pool's
-  /// queues. Rethrows the first exception thrown by any task of this group.
-  void Wait();
-
- private:
-  void RunAndTrack(std::function<void()>& fn);
-
-  ThreadPool* pool_;
-  std::atomic<int> pending_{0};
-  std::mutex mu_;
-  std::condition_variable done_cv_;
-  std::exception_ptr error_;  // guarded by mu_
-};
-
-/// Chunked parallel loop: calls `fn(i)` for i in [begin, end). Blocks until
-/// every index ran. Sequential (in order) when `pool` has no workers.
+/// Calls `fn(i)` once for every i in [0, n) on `threads` threads (the caller
+/// is one of them); each thread claims the next index from one atomic
+/// counter. With `threads` <= 1 or n <= 1 the loop runs inline, in order;
+/// when the system cannot start a thread, the threads already running do
+/// the rest.
+/// After the first exception no further index is claimed, and that
+/// exception is rethrown once every thread has stopped.
 template <typename Fn>
-void ParallelFor(ThreadPool* pool, int begin, int end, Fn fn, int grain = 1) {
-  if (end <= begin) return;
-  if (pool == nullptr || !pool->parallel()) {
-    for (int i = begin; i < end; ++i) fn(i);
+void ParallelFor(int threads, int n, Fn fn) {
+  threads = std::min(threads, n);
+  if (threads <= 1) {
+    for (int i = 0; i < n; ++i) fn(i);
     return;
   }
-  if (grain < 1) grain = 1;
-  const int count = end - begin;
-  // ~4 chunks per executor balances stealing against per-task overhead.
-  const int target_chunks = 4 * pool->num_threads();
-  int chunk = (count + target_chunks - 1) / target_chunks;
-  if (chunk < grain) chunk = grain;
-  TaskGroup group(pool);
-  for (int lo = begin; lo < end; lo += chunk) {
-    const int hi = lo + chunk < end ? lo + chunk : end;
-    group.Run([fn, lo, hi] {
-      for (int i = lo; i < hi; ++i) fn(i);
-    });
+  std::atomic<int> next{0};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  auto work = [&] {
+    for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+        next.store(n);
+      }
+    }
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(threads - 1);
+  try {
+    for (int t = 1; t < threads; ++t) workers.emplace_back(work);
+  } catch (const std::system_error&) {
+    // No thread to spare: the ones started and the caller claim every index.
   }
-  group.Wait();
+  work();
+  for (std::thread& w : workers) w.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace ghd

@@ -277,42 +277,6 @@ TEST(FaultSweepTest, TruncationNeverPoisonsKDeciderAnswer) {
   }
 }
 
-TEST(FaultSweepTest, ParallelDriverSurvivesMidRunFault) {
-  // num_threads = 2 exercises cancellation landing mid-TaskGroup inside the
-  // parallel engines; the injection index is global, so faults land inside
-  // forked subtasks as well as between rungs.
-  const Hypergraph h = Grid2dHypergraph(3, 3);
-  for (long n : {1L, 3L, 10L, 50L, 250L, 1000L}) {
-    Budget budget;
-    budget.InjectFailureAfter(n);
-    AnytimeOptions options;
-    options.budget = &budget;
-    options.num_threads = 2;
-    AnytimeGhwResult r = AnytimeGhw(h, options);
-    EXPECT_LE(r.lower_bound, 2) << "fault at tick " << n;
-    EXPECT_GE(r.upper_bound, 2) << "fault at tick " << n;
-    EXPECT_TRUE(r.witness.Validate(h).ok()) << "fault at tick " << n;
-  }
-}
-
-TEST(FaultSweepTest, ParallelKDeciderSurvivesMidRunFault) {
-  const Hypergraph h = Grid2dHypergraph(3, 3);
-  const GuardFamily family = OriginalEdgesFamily(h);
-  KDeciderResult truth = DecideWidthK(h, family, 3);
-  ASSERT_TRUE(truth.decided);
-  for (long n : {1L, 5L, 25L, 125L, 625L}) {
-    Budget budget;
-    budget.InjectFailureAfter(n);
-    KDeciderOptions options;
-    options.budget = &budget;
-    options.num_threads = 2;
-    KDeciderResult r = DecideWidthK(h, family, 3, options);
-    if (r.decided) {
-      EXPECT_EQ(r.exists, truth.exists) << "fault at tick " << n;
-    }
-  }
-}
-
 TEST(AnytimeTest, ExternalCancellationStopsDriver) {
   // Grid 4x4 has 2^16 subset-DP cells — far more than the driver can chew
   // through before the cancel lands; either way the result must be a valid

@@ -92,21 +92,6 @@ TEST(ClosureDifferentialTest, LazyMatchesEagerAcrossWordBoundaries) {
   }
 }
 
-TEST(ClosureDifferentialTest, ParallelGenerationIsDeterministic) {
-  Hypergraph h = RandomUniformHypergraph(18, 12, 5, 17);
-  SubedgeClosureOptions seq, par;
-  seq.max_union_arity = par.max_union_arity = 3;
-  seq.num_threads = 1;
-  par.num_threads = 4;
-  SubedgeClosureResult a = BipSubedgeClosure(h, seq);
-  SubedgeClosureResult b = BipSubedgeClosure(h, par);
-  ASSERT_TRUE(a.complete());
-  ASSERT_TRUE(b.complete());
-  // Content *and order* identical: the merge is sequential in parent order.
-  EXPECT_EQ(a.family.guards, b.family.guards);
-  EXPECT_EQ(a.family.parent_edge, b.family.parent_edge);
-}
-
 TEST(ClosurePruningTest, OnlyMaximalAddedGuardsSurvive) {
   for (uint64_t seed = 20; seed < 26; ++seed) {
     Hypergraph h = RandomUniformHypergraph(13, 9, 4, seed);

@@ -3,7 +3,7 @@
 // at the 63/64/65-vertex bitset word boundaries, component splits and
 // merges), delta-scoped retention, the version verdict memo and its hw-floor
 // seed, the memo-poisoning sentinel under counters, and a differential check
-// against the independent ladder. The threaded sweep runs in the TSan CI job.
+// against the independent ladder.
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -109,12 +109,10 @@ TEST(ApplyEdgeDeltaTest, BatchedRemoveInsertDirtyUnion) {
 // One randomized sweep over `base`: remove a random live edge, sometimes
 // toss in a fresh chord, decide, restore, decide again — comparing the
 // incremental verdict to a from-scratch solve at every step.
-void RandomizedSweep(const Hypergraph& base, int k, uint64_t seed, int rounds,
-                     int num_threads) {
+void RandomizedSweep(const Hypergraph& base, int k, uint64_t seed,
+                     int rounds) {
   Rng rng(seed);
-  IncrementalOptions opts;
-  opts.num_threads = num_threads;
-  IncrementalSolver solver(base, opts);
+  IncrementalSolver solver(base);
   Hypergraph scratch = base;
 
   auto apply_both = [&](const EdgeDelta& d) {
@@ -158,21 +156,21 @@ void RandomizedSweep(const Hypergraph& base, int k, uint64_t seed, int rounds,
 // The bitset word boundary: 63/64/65 vertices exercise the last-word mask,
 // an exactly-full word, and the first two-word universe.
 TEST(IncrementalEquivalenceTest, WordBoundarySweep63) {
-  RandomizedSweep(CycleHypergraph(63), 2, 17, 8, 1);
+  RandomizedSweep(CycleHypergraph(63), 2, 17, 8);
 }
 
 TEST(IncrementalEquivalenceTest, WordBoundarySweep64) {
-  RandomizedSweep(CycleHypergraph(64), 2, 18, 8, 1);
+  RandomizedSweep(CycleHypergraph(64), 2, 18, 8);
 }
 
 TEST(IncrementalEquivalenceTest, WordBoundarySweep65) {
-  RandomizedSweep(CycleHypergraph(65), 2, 19, 8, 1);
+  RandomizedSweep(CycleHypergraph(65), 2, 19, 8);
 }
 
 TEST(IncrementalEquivalenceTest, GridRefutationSweep) {
   // Grid at k = 2 is a "no": the retained state carrying the win is the
   // persistent negative store, the path the cycle sweeps never exercise.
-  RandomizedSweep(Grid2dHypergraph(5, 5), 2, 23, 6, 1);
+  RandomizedSweep(Grid2dHypergraph(5, 5), 2, 23, 6);
 }
 
 // Two 4-cycles joined by a bridge edge; removing the bridge splits the
@@ -408,8 +406,8 @@ TEST(IncrementalDifferentialTest, RepeatBatchCatalogueMatchesTheLadder) {
 TEST(IncrementalSolverTest, SweepsNeverPoisonTheMemo) {
   obs::EnableCounters(true);
   obs::ResetCounters();
-  RandomizedSweep(CycleHypergraph(64), 2, 29, 4, 1);
-  RandomizedSweep(Grid2dHypergraph(4, 4), 2, 31, 4, 1);
+  RandomizedSweep(CycleHypergraph(64), 2, 29, 4);
+  RandomizedSweep(Grid2dHypergraph(4, 4), 2, 31, 4);
   const obs::CounterSnapshot s = obs::SnapshotCounters();
   EXPECT_EQ(s.counter(obs::Counter::kDeciderMemoPoisoned), 0);
   EXPECT_GT(s.counter(obs::Counter::kDeciderStates), 0);
@@ -418,14 +416,6 @@ TEST(IncrementalSolverTest, SweepsNeverPoisonTheMemo) {
   obs::EnableCounters(false);
 }
 #endif  // GHD_OBS_ENABLED
-
-// TSan coverage: the solver itself serves one mutation stream, but its
-// deciders parallelize internally — the sweep must stay race-free and give
-// schedule-independent verdicts.
-TEST(IncrementalSolverTest, ThreadedSweepMatchesScratch) {
-  RandomizedSweep(CycleHypergraph(64), 2, 37, 4, 4);
-  RandomizedSweep(Grid2dHypergraph(4, 4), 2, 41, 4, 4);
-}
 
 }  // namespace
 }  // namespace ghd

@@ -5,7 +5,9 @@
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
 #include "gtest/gtest.h"
+#include "htd/det_k_decomp.h"
 #include "hypergraph/hypergraph_builder.h"
+#include "obs/obs.h"
 
 namespace ghd {
 namespace {
@@ -157,6 +159,44 @@ TEST(KDeciderTest, HwNeverBelowGhw) {
     }
   }
 }
+
+#if GHD_OBS_ENABLED
+TEST(KDeciderTest, TruncatedRunsNeverMemoizeUnsoundNegatives) {
+  // The decider must refuse to cache a "no" computed under truncation: such
+  // an entry would poison later lookups. kDeciderMemoPoisoned tallies exactly
+  // those refused insertions at the one choke point, so it stays 0 on every
+  // instance, budget-truncated (200 states) and unbounded.
+  const std::vector<Hypergraph> instances = {
+      AdderHypergraph(3),
+      BridgeHypergraph(3),
+      Grid2dHypergraph(3, 3),
+      CycleHypergraph(9),
+      CliqueHypergraph(7),
+      TriangleStripHypergraph(3),
+      HypercubeHypergraph(3),
+      RandomCircuitHypergraph(4, 10, 5),
+      RandomUniformHypergraph(10, 8, 3, 1),
+      RandomUniformHypergraph(11, 7, 4, 3),
+      RandomBoundedIntersectionHypergraph(12, 8, 3, 1, 4),
+      RandomBoundedDegreeHypergraph(14, 9, 3, 2, 5),
+  };
+  obs::EnableCounters(true);
+  for (const Hypergraph& h : instances) {
+    for (long budget : {200L, 0L}) {
+      obs::ResetCounters();
+      KDeciderOptions options;
+      options.state_budget = budget;
+      HypertreeWidth(h, 0, options);
+      const obs::CounterSnapshot s = obs::SnapshotCounters();
+      EXPECT_EQ(s.counter(obs::Counter::kDeciderMemoPoisoned), 0)
+          << "budget=" << budget;
+      EXPECT_GT(s.counter(obs::Counter::kDeciderStates), 0);
+    }
+  }
+  obs::ResetCounters();
+  obs::EnableCounters(false);
+}
+#endif  // GHD_OBS_ENABLED
 
 }  // namespace
 }  // namespace ghd

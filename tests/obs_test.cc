@@ -32,19 +32,17 @@ class ObsTest : public ::testing::Test {
   }
 };
 
-obs::CounterSnapshot RunDeciderOnce(const Hypergraph& h, int threads) {
+obs::CounterSnapshot RunDeciderOnce(const Hypergraph& h) {
   obs::ResetCounters();
-  KDeciderOptions options;
-  options.num_threads = threads;
-  HypertreeWidthResult r = HypertreeWidth(h, 0, options);
+  HypertreeWidthResult r = HypertreeWidth(h);
   EXPECT_TRUE(r.exact);
   return obs::SnapshotCounters();
 }
 
 TEST_F(ObsTest, SingleThreadedRunsAreByteIdentical) {
   const Hypergraph h = Grid2dHypergraph(3, 3);
-  const obs::CounterSnapshot a = RunDeciderOnce(h, 1);
-  const obs::CounterSnapshot b = RunDeciderOnce(h, 1);
+  const obs::CounterSnapshot a = RunDeciderOnce(h);
+  const obs::CounterSnapshot b = RunDeciderOnce(h);
   EXPECT_TRUE(a == b);
   std::string ja, jb;
   a.AppendJson(&ja);
@@ -54,16 +52,6 @@ TEST_F(ObsTest, SingleThreadedRunsAreByteIdentical) {
   EXPECT_EQ(a.counter(obs::Counter::kDeciderMemoPoisoned), 0);
   // Tracing was off for the whole run, so no span could have been shed.
   EXPECT_EQ(a.counter(obs::Counter::kTraceSpansDropped), 0);
-}
-
-TEST_F(ObsTest, ParallelRunNeverPoisonsTheMemo) {
-  const Hypergraph h = CliqueHypergraph(7);
-  for (int threads : {2, 8}) {
-    const obs::CounterSnapshot s = RunDeciderOnce(h, threads);
-    EXPECT_EQ(s.counter(obs::Counter::kDeciderMemoPoisoned), 0)
-        << "threads=" << threads;
-    EXPECT_GT(s.counter(obs::Counter::kDeciderStates), 0);
-  }
 }
 
 TEST_F(ObsTest, DisabledCountersRecordNothing) {
@@ -88,7 +76,7 @@ TEST_F(ObsTest, GaugeKeepsTheMaximum) {
 
 TEST_F(ObsTest, ResetClearsEverything) {
   GHD_COUNT(kLpPivots);
-  GHD_GAUGE_MAX(kPoolQueueDepth, 5);
+  GHD_GAUGE_MAX(kCacheBytes, 5);
   GHD_HISTO(kLambdaCandidates, 9);
   EXPECT_TRUE(obs::SnapshotCounters().AnyNonZero());
   obs::ResetCounters();

@@ -1102,20 +1102,6 @@ TEST(FrontDoorTest, AgreesWithTheEnginesItBypasses) {
       EXPECT_EQ(any.upper_bound, 1);
       EXPECT_EQ(any.trail.back().engine, "front-door");
     }
-
-    KDeciderOptions kd4;
-    kd4.num_threads = 4;
-    const HypertreeWidthResult hw4 = HypertreeWidth(h, 0, kd4);
-    EXPECT_EQ(hw4.exact, hw.exact);
-    EXPECT_EQ(hw4.width, hw.width);
-    EXPECT_TRUE(ValidateHypertreeDecomposition(h, hw4.decomposition).ok());
-    AnytimeOptions any4;
-    any4.num_threads = 4;
-    const AnytimeGhwResult any_4 = AnytimeGhw(h, any4);
-    EXPECT_EQ(any_4.lower_bound, any.lower_bound);
-    EXPECT_EQ(any_4.upper_bound, any.upper_bound);
-    EXPECT_EQ(any_4.exact, any.exact);
-    EXPECT_TRUE(any_4.witness.Validate(h).ok());
   }
   EXPECT_GT(acyclic, 10);  // every kind of instance is exercised
   EXPECT_GT(cyclic_with_ears, 10);

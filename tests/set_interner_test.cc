@@ -1,10 +1,4 @@
-// SetInterner: dedup/roundtrip semantics and thread-safety. The
-// multithreaded cases run under the TSan CI job; they hammer one interner
-// from several threads interning overlapping working sets and then check the
-// canonical ids agree across threads.
-#include <atomic>
-#include <thread>
-#include <unordered_map>
+// SetInterner: dedup and round-trip semantics.
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -73,62 +67,6 @@ TEST(SetInternerTest, ResolveAndHashOfRoundTrip) {
     // Resolve must be stable: the same id always names the same storage.
     EXPECT_EQ(&interner.Resolve(id), &canonical);
   }
-}
-
-// Same-universe sets engineered to land in few shards still dedup correctly
-// (the shard is picked from the hash; semantics must not depend on it).
-TEST(SetInternerTest, SingleShardAndManyShardsAgree) {
-  SetInterner one(1);
-  SetInterner many(64);
-  std::unordered_map<uint32_t, uint32_t> one_to_many;
-  for (uint64_t seed = 0; seed < 300; ++seed) {
-    const VertexSet s = MakeSet(90, seed);
-    const uint32_t id_one = one.Intern(s);
-    const uint32_t id_many = many.Intern(s);
-    auto [it, inserted] = one_to_many.emplace(id_one, id_many);
-    // The id values differ across shard counts, but the *partition* of sets
-    // into ids must be identical.
-    EXPECT_EQ(it->second, id_many);
-    EXPECT_EQ(one.Resolve(id_one), many.Resolve(id_many));
-  }
-  EXPECT_EQ(one.Size(), many.Size());
-}
-
-TEST(SetInternerTest, ConcurrentInterningAgreesAcrossThreads) {
-  constexpr int kThreads = 4;
-  constexpr int kSetsPerThread = 400;
-  constexpr int kDistinct = 64;  // heavy overlap => races on the same shards
-  SetInterner interner;
-  std::vector<std::vector<uint32_t>> ids(kThreads,
-                                         std::vector<uint32_t>(kDistinct, 0));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &interner, &ids] {
-      Rng rng(0x9e3779b9ULL * (t + 1));
-      for (int i = 0; i < kSetsPerThread; ++i) {
-        const int which = rng.UniformInt(kDistinct);
-        const VertexSet s = MakeSet(170, which);  // seed == identity
-        const uint32_t id = interner.Intern(s);
-        if (ids[t][which] == 0) {
-          ids[t][which] = id + 1;  // +1 so id 0 is distinguishable from unset
-        } else {
-          // Re-interning the same set must keep returning the first id.
-          EXPECT_EQ(ids[t][which], id + 1);
-        }
-        // Resolve under concurrent inserts must return the canonical copy.
-        EXPECT_EQ(interner.Resolve(id), s);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (int which = 0; which < kDistinct; ++which) {
-    for (int t = 1; t < kThreads; ++t) {
-      if (ids[t][which] != 0 && ids[0][which] != 0) {
-        EXPECT_EQ(ids[t][which], ids[0][which]) << "set " << which;
-      }
-    }
-  }
-  EXPECT_LE(interner.Size(), static_cast<size_t>(kDistinct));
 }
 
 }  // namespace

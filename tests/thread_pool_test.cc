@@ -1,7 +1,6 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -10,114 +9,60 @@
 namespace ghd {
 namespace {
 
-TEST(ThreadPoolTest, SingleThreadRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_FALSE(pool.parallel());
-  EXPECT_EQ(pool.num_threads(), 1);
-  // Inline mode executes immediately in submission order.
-  std::vector<int> order;
-  TaskGroup group(&pool);
-  for (int i = 0; i < 5; ++i) {
-    group.Run([&order, i] { order.push_back(i); });
-    EXPECT_EQ(static_cast<int>(order.size()), i + 1);
-  }
-  group.Wait();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPoolTest, NullPoolParallelForIsSequential) {
-  std::vector<int> order;
-  ParallelFor(nullptr, 0, 8, [&order](int i) { order.push_back(i); });
-  std::vector<int> expected(8);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  EXPECT_TRUE(pool.parallel());
-  EXPECT_EQ(pool.num_threads(), 4);
-  constexpr int kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  ParallelFor(&pool, 0, kN, [&hits](int i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForSum) {
-  ThreadPool pool(3);
-  std::atomic<long> sum{0};
-  ParallelFor(&pool, 1, 1001, [&sum](int i) {
-    sum.fetch_add(i, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 500500);
-}
-
-TEST(ThreadPoolTest, NestedForkJoin) {
-  // Forked tasks fork their own groups: the search engines nest fork-join up
-  // to kMaxForkDepth, and waiters must help (not block) or this deadlocks on
-  // small pools.
-  ThreadPool pool(2);
-  std::atomic<int> leaves{0};
-  TaskGroup outer(&pool);
-  for (int i = 0; i < 8; ++i) {
-    outer.Run([&pool, &leaves] {
-      TaskGroup inner(&pool);
-      for (int j = 0; j < 8; ++j) {
-        inner.Run([&leaves] { leaves.fetch_add(1); });
-      }
-      inner.Wait();
-    });
-  }
-  outer.Wait();
-  EXPECT_EQ(leaves.load(), 64);
-}
-
-TEST(ThreadPoolTest, WaitRethrowsTaskException) {
-  ThreadPool pool(4);
-  TaskGroup group(&pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    group.Run([&ran, i] {
-      ran.fetch_add(1);
-      if (i == 7) throw std::runtime_error("boom");
-    });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // After the throwing Wait the group must be drained: the destructor's Wait
-  // must not rethrow or hang.
-}
-
-TEST(ThreadPoolTest, InlineExceptionPropagates) {
-  ThreadPool pool(1);
-  TaskGroup group(&pool);
-  group.Run([] { throw std::runtime_error("inline boom"); });
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, EffectiveThreads) {
-  EXPECT_EQ(ThreadPool::EffectiveThreads(1), 1);
-  EXPECT_EQ(ThreadPool::EffectiveThreads(6), 6);
-  EXPECT_GE(ThreadPool::EffectiveThreads(0), 1);
-  EXPECT_GE(ThreadPool::EffectiveThreads(-3), 1);
-}
-
-TEST(ThreadPoolTest, ManySmallGroups) {
-  // Pool reuse across many short-lived groups (the per-root pattern in
-  // DecideWidthK): no task leakage between groups.
-  ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> count{0};
-    TaskGroup group(&pool);
-    for (int i = 0; i < 10; ++i) {
-      group.Run([&count] { count.fetch_add(1); });
+TEST(ParallelForTest, EveryIndexRunsOnce) {
+  constexpr int kN = 1000;
+  for (int threads : {1, 4}) {
+    std::vector<std::atomic<int>> hits(kN);
+    ParallelFor(threads, kN, [&hits](int i) { hits[i].fetch_add(1); });
+    for (int i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
     }
-    group.Wait();
-    ASSERT_EQ(count.load(), 10) << "round " << round;
   }
+}
+
+TEST(ParallelForTest, OneThreadRunsInOrderOnTheCaller) {
+  std::vector<int> order;
+  ParallelFor(1, 8, [&order](int i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(ParallelForTest, ExceptionPropagates) {
+  for (int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(ParallelFor(threads, 64,
+                             [&ran](int i) {
+                               ran.fetch_add(1);
+                               if (i == 5) throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error)
+        << "threads " << threads;
+    EXPECT_GE(ran.load(), 1);
+  }
+}
+
+TEST(ParallelForTest, ZeroTasksRunNothing) {
+  for (int threads : {1, 4}) {
+    int calls = 0;
+    ParallelFor(threads, 0, [&calls](int) { ++calls; });
+    EXPECT_EQ(calls, 0);
+  }
+}
+
+TEST(ParallelForTest, UsableCpusIsPositive) { EXPECT_GE(UsableCpus(), 1); }
+
+TEST(ParallelForTest, WorkerCountIsTheSmallestLimit) {
+  // min(requested, usable CPUs, tasks), never below 1.
+  EXPECT_EQ(WorkerCount(4, 8, 100), 4);
+  EXPECT_EQ(WorkerCount(8, 4, 100), 4);
+  EXPECT_EQ(WorkerCount(8, 8, 3), 3);
+  EXPECT_EQ(WorkerCount(1, 8, 100), 1);
+  // 0 (or below) asks for every usable CPU.
+  EXPECT_EQ(WorkerCount(0, 6, 100), 6);
+  EXPECT_EQ(WorkerCount(-3, 6, 100), 6);
+  EXPECT_EQ(WorkerCount(0, 6, 2), 2);
+  // Degenerate inputs still give one worker.
+  EXPECT_EQ(WorkerCount(4, 8, 0), 1);
+  EXPECT_EQ(WorkerCount(4, 0, 10), 1);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 //   ghd_cli stats     <file.hg>          structural statistics + acyclicity
 //   ghd_cli bounds    <file.hg>          fast ghw lower/upper bounds
-//   ghd_cli ghw       <file.hg> [secs]   exact GHW (budgeted)
+//   ghd_cli ghw       <file.hg> [secs]   exact GHW (budgeted; whole seconds)
 //   ghd_cli anytime   <file.hg>          degradation-ladder interval for ghw
 //   ghd_cli hw        <file.hg> [states] exact hypertree width (budgeted);
 //                                        the witness is checked as a
@@ -47,11 +47,13 @@
 //                    stdout. The JSON is deterministic — verdicts, widths,
 //                    and keys only, no timings — so a cold and a warm run of
 //                    the same manifest produce byte-identical files (CI's
-//                    cache-smoke asserts exactly that)
+//                    cache-smoke asserts exactly that), at every --threads
+//   --threads N      requests in flight (default 1; 0 = every CPU this
+//                    process may run on). Each search runs on one thread;
+//                    the batch runs min(N, usable CPUs, requests) of them
+//                    at a time. Only decide-many and anytime-many take it.
 //
 // Global flags:
-//   --threads N      executors for the ghw/hw/decompose searches (1 =
-//                    sequential default, 0 = all hardware threads)
 //   --timeout-ms N   wall-clock deadline for the budgeted commands; overrides
 //                    the positional seconds budget
 //   --memory-mb N    approximate memory budget for the search caches
@@ -84,12 +86,15 @@
 // cooperatively, and the best validated bounds found so far are still
 // printed. Exit codes: 0 = decided/complete, 3 = truncated by a budget or
 // SIGINT (bounds printed are valid but not tight), 1 = I/O error, 2 = usage.
+// Every number (flag value, positional budget or k) must be a whole decimal
+// integer in its range; anything else is a usage error.
 //
 // Files use the HyperBench / detkdecomp .hg format.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -145,17 +150,32 @@ extern "C" void HandleSigint(int) {
 int Usage() {
   std::cerr
       << "usage: ghd_cli <stats|bounds|ghw|anytime|hw|bip|tw|fhw|components|"
-         "td|decompose>\n               <file.hg> [budget] [--threads N] "
+         "td|decompose>\n               <file.hg> [budget] "
          "[--timeout-ms N] [--memory-mb N] [--seed N] [--no-simd]\n"
          "               "
          "[--counters] [--trace-out=FILE] [--report-out=FILE] [--verbose]\n"
          "               [--heartbeat-ms N] [--metrics-out=FILE]\n"
          "       ghd_cli <decide-many|anytime-many> <manifest> [k]\n"
          "               [--cache-file=FILE] [--cache-mb N] [--no-cache] "
-         "[--out=FILE]\n"
+         "[--out=FILE] [--threads N]\n"
          "       ghd_cli replay <file.trace> [k]\n"
          "               [--cache-file=FILE] [--cache-mb N] [--no-cache]\n";
   return kExitUsage;
+}
+
+// Parses all of `text` as a decimal integer in [lo, hi]. False on an empty
+// string, a leading '+' or space, trailing characters, overflow or a value
+// out of range.
+bool ParseInt(const std::string& text, long lo, long hi, long* out) {
+  long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < lo ||
+      value > hi) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 // Everything the epilogue needs to assemble a RunReport, collected by the
@@ -178,7 +198,7 @@ struct BatchParams {
   bool use_cache = true;
   long cache_mb = 64;
   int k = 2;
-  int num_threads = 1;
+  int threads = 1;  // requests in flight; 0 = every usable CPU
   long seed = 1;
   ghd::Budget* governor = nullptr;
 };
@@ -265,7 +285,11 @@ int RunBatchCommand(const BatchParams& bp) {
     }
   }
 
-  ThreadPool pool(bp.num_threads);
+  std::vector<int> duplicates;
+  for (int i = 0; i < n; ++i) {
+    if (!is_rep[i]) duplicates.push_back(i);
+  }
+
   const bool decide = bp.command == "decide-many";
   std::vector<CachedDecideResult> decide_results(n);
   std::vector<CachedAnytimeResult> anytime_results(n);
@@ -273,25 +297,27 @@ int RunBatchCommand(const BatchParams& bp) {
     if (decide) {
       KDeciderOptions options;
       options.budget = bp.governor;
-      options.num_threads = 1;  // parallelism is across instances here
       decide_results[i] = CachedDecideHw(prepared[i], bp.k, cache_ptr,
                                          options);
     } else {
       AnytimeOptions options;
       options.budget = bp.governor;
-      options.num_threads = 1;
       options.seed = static_cast<uint64_t>(bp.seed);
       anytime_results[i] = CachedAnytimeGhw(prepared[i], options, cache_ptr);
     }
   };
+  // Each request runs whole on one worker; a pass runs min(--threads,
+  // usable CPUs, its requests) workers.
+  auto solve_all = [&](const std::vector<int>& requests) {
+    const int count = static_cast<int>(requests.size());
+    ParallelFor(WorkerCount(bp.threads, UsableCpus(), count), count,
+                [&](int idx) { solve_one(requests[idx]); });
+  };
   // Pass 1: unique keys (the only real solves when the cache is armed).
-  ParallelFor(&pool, 0, static_cast<int>(reps.size()),
-              [&](int idx) { solve_one(reps[idx]); });
+  solve_all(reps);
   // Pass 2: duplicates — cache hits when armed, independent solves under
   // --no-cache (the cold baseline the bench compares against).
-  ParallelFor(&pool, 0, n, [&](int i) {
-    if (!is_rep[i]) solve_one(i);
-  });
+  solve_all(duplicates);
 
   // Deterministic results JSON: verdicts, widths, keys — never timings or
   // hit flags, so cold and warm runs emit byte-identical bytes.
@@ -361,7 +387,6 @@ struct ReplayParams {
   bool use_cache = true;
   long cache_mb = 64;
   int k_override = 0;  // 0 = the trace's default k
-  int num_threads = 1;
   ghd::Budget* governor = nullptr;
 };
 
@@ -401,7 +426,6 @@ int RunReplayCommand(const ReplayParams& rp) {
   }
 
   IncrementalOptions opts;
-  opts.num_threads = rp.num_threads;
   opts.budget = rp.governor;
   opts.cache = cache.has_value() ? &*cache : nullptr;
   IncrementalSolver solver(trace.base, opts);
@@ -482,7 +506,8 @@ int RunReplayCommand(const ReplayParams& rp) {
 int main(int argc, char** argv) {
   using namespace ghd;
   // Split flags from positional arguments.
-  int num_threads = 1;
+  long num_threads = 1;
+  bool threads_given = false;
   long timeout_ms = 0;
   long memory_mb = 0;
   long seed = 1;
@@ -497,22 +522,25 @@ int main(int argc, char** argv) {
   std::string cache_file;
   std::string out_file;
   std::vector<std::string> args;
+  struct IntFlag {
+    const char* name;
+    long lo;
+    long hi;
+    long* out;
+  };
+  const IntFlag int_flags[] = {
+      {"--threads", 0, 1024, &num_threads},
+      {"--timeout-ms", 0, LONG_MAX, &timeout_ms},
+      {"--memory-mb", 0, long{1} << 30, &memory_mb},
+      {"--seed", 0, LONG_MAX, &seed},
+      {"--heartbeat-ms", 0, INT_MAX, &heartbeat_ms},
+      {"--cache-mb", 1, long{1} << 30, &cache_mb},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto long_flag = [&](const char* name, long* out) {
-      const std::string prefix = std::string(name) + "=";
-      if (arg == name) {
-        if (i + 1 >= argc) return false;
-        *out = std::atol(argv[++i]);
-        return true;
-      }
-      if (arg.rfind(prefix, 0) == 0) {
-        *out = std::atol(arg.c_str() + prefix.size());
-        return true;
-      }
-      return false;
-    };
-    auto string_flag = [&](const char* name, std::string* out) {
+    // "--name V" or "--name=V"; false when arg is another flag, or when V
+    // is missing (then the unknown-flag branch reports usage).
+    auto flag_value = [&](const char* name, std::string* out) {
       const std::string prefix = std::string(name) + "=";
       if (arg == name) {
         if (i + 1 >= argc) return false;
@@ -525,23 +553,24 @@ int main(int argc, char** argv) {
       }
       return false;
     };
-    long threads_value = 0;
-    if (long_flag("--threads", &threads_value)) {
-      num_threads = static_cast<int>(threads_value);
-    } else if (long_flag("--timeout-ms", &timeout_ms) ||
-               long_flag("--memory-mb", &memory_mb) ||
-               long_flag("--seed", &seed) ||
-               long_flag("--heartbeat-ms", &heartbeat_ms) ||
-               long_flag("--cache-mb", &cache_mb)) {
-      if (timeout_ms < 0 || memory_mb < 0 || heartbeat_ms < 0 ||
-          cache_mb < 1) {
+    const IntFlag* int_flag = nullptr;
+    std::string value;
+    for (const IntFlag& f : int_flags) {
+      if (flag_value(f.name, &value)) {
+        int_flag = &f;
+        break;
+      }
+    }
+    if (int_flag != nullptr) {
+      if (!ParseInt(value, int_flag->lo, int_flag->hi, int_flag->out)) {
         return Usage();
       }
-    } else if (string_flag("--trace-out", &trace_out) ||
-               string_flag("--report-out", &report_out) ||
-               string_flag("--metrics-out", &metrics_out) ||
-               string_flag("--cache-file", &cache_file) ||
-               string_flag("--out", &out_file)) {
+      threads_given = threads_given || int_flag->out == &num_threads;
+    } else if (flag_value("--trace-out", &trace_out) ||
+               flag_value("--report-out", &report_out) ||
+               flag_value("--metrics-out", &metrics_out) ||
+               flag_value("--cache-file", &cache_file) ||
+               flag_value("--out", &out_file)) {
       // handled in the epilogue / batch commands
     } else if (arg == "--no-cache") {
       no_cache = true;
@@ -557,8 +586,28 @@ int main(int argc, char** argv) {
       args.push_back(arg);
     }
   }
-  if (args.size() < 2) return Usage();
+  if (args.size() < 2 || args.size() > 3) return Usage();
   const std::string command = args[0];
+  // Only the batch drivers run several requests at once.
+  if (threads_given && command != "decide-many" &&
+      command != "anytime-many") {
+    return Usage();
+  }
+  // The optional third positional: whole seconds (ghw, tw, decompose), a
+  // tick budget (hw) or k (bip, decide-many, replay); 0 seconds or ticks
+  // means unlimited. Other commands take none.
+  const bool takes_k =
+      command == "bip" || command == "decide-many" || command == "replay";
+  const bool takes_budget = command == "ghw" || command == "tw" ||
+                            command == "decompose" || command == "hw";
+  const bool has_positional = args.size() > 2;
+  long positional = 0;
+  if (has_positional &&
+      (!(takes_k || takes_budget) ||
+       !ParseInt(args[2], takes_k ? 1 : 0, takes_k ? INT_MAX : LONG_MAX,
+                 &positional))) {
+    return Usage();
+  }
 
 #if GHD_OBS_ENABLED
   // Heartbeat rates, metrics deltas, and attribution deltas all derive from
@@ -605,7 +654,8 @@ int main(int argc, char** argv) {
     }
     h = parsed.value();
   }
-  const double budget_arg = args.size() > 2 ? std::atof(args[2].c_str()) : 30.0;
+  const double budget_seconds =
+      has_positional ? static_cast<double>(positional) : 30.0;
 
   // One governor for the whole invocation; --timeout-ms overrides the
   // positional seconds budget, SIGINT cancels cooperatively, and
@@ -659,10 +709,9 @@ int main(int argc, char** argv) {
     }
     if (command == "ghw") {
       governor.SetDeadlineSeconds(deadline_seconds > 0 ? deadline_seconds
-                                                       : budget_arg);
+                                                       : budget_seconds);
       ExactGhwOptions options;
       options.budget = &governor;
-      options.num_threads = num_threads;
       options.seed = static_cast<uint64_t>(seed);
       ExactGhwResult r = ExactGhwComponentwise(h, options);
       run.lower_bound = r.lower_bound;
@@ -679,7 +728,6 @@ int main(int argc, char** argv) {
       AnytimeOptions options;
       options.budget = &governor;
       if (deadline_seconds > 0) governor.SetDeadlineSeconds(deadline_seconds);
-      options.num_threads = num_threads;
       options.seed = static_cast<uint64_t>(seed);
       AnytimeGhwResult r = AnytimeGhw(h, options);
       run.lower_bound = r.lower_bound;
@@ -703,12 +751,10 @@ int main(int argc, char** argv) {
       if (deadline_seconds > 0) {
         governor.SetDeadlineSeconds(deadline_seconds);
       } else {
-        governor.SetTickBudget(args.size() > 2 ? std::atol(args[2].c_str())
-                                               : 2000000);
+        governor.SetTickBudget(has_positional ? positional : 2000000);
       }
       KDeciderOptions options;
       options.budget = &governor;
-      options.num_threads = num_threads;
       HypertreeWidthResult r = HypertreeWidth(h, 0, options);
       if (r.exact) {
         // Every witness is re-validated, including the special condition
@@ -735,8 +781,7 @@ int main(int argc, char** argv) {
       return kExitTruncated;
     }
     if (command == "bip") {
-      const int k = args.size() > 2 ? std::atoi(args[2].c_str()) : 2;
-      if (k < 1) return Usage();
+      const int k = has_positional ? static_cast<int>(positional) : 2;
       if (deadline_seconds > 0) {
         governor.SetDeadlineSeconds(deadline_seconds);
       } else {
@@ -745,10 +790,8 @@ int main(int argc, char** argv) {
       SubedgeClosureOptions closure;
       closure.max_union_arity = k;
       closure.budget = &governor;
-      closure.num_threads = num_threads;
       KDeciderOptions options;
       options.budget = &governor;
-      options.num_threads = num_threads;
       KDeciderResult r = BipGhwDecide(h, k, closure, options);
       run.lower_bound = 1;
       run.upper_bound = h.num_edges();
@@ -778,7 +821,7 @@ int main(int argc, char** argv) {
     }
     if (command == "tw") {
       governor.SetDeadlineSeconds(deadline_seconds > 0 ? deadline_seconds
-                                                       : budget_arg);
+                                                       : budget_seconds);
       ExactTreewidthOptions options;
       options.budget = &governor;
       ExactTreewidthResult r = ExactTreewidth(h.PrimalGraph(), options);
@@ -817,9 +860,7 @@ int main(int argc, char** argv) {
       rp.cache_file = cache_file;
       rp.use_cache = !no_cache;
       rp.cache_mb = cache_mb;
-      rp.k_override = args.size() > 2 ? std::atoi(args[2].c_str()) : 0;
-      if (args.size() > 2 && rp.k_override < 1) return Usage();
-      rp.num_threads = num_threads;
+      rp.k_override = static_cast<int>(positional);  // 0 when absent
       rp.governor = &governor;
       return RunReplayCommand(rp);
     }
@@ -833,20 +874,18 @@ int main(int argc, char** argv) {
       bp.use_cache = !no_cache;
       bp.cache_mb = cache_mb;
       if (command == "decide-many") {
-        bp.k = args.size() > 2 ? std::atoi(args[2].c_str()) : 2;
-        if (bp.k < 1) return Usage();
+        bp.k = has_positional ? static_cast<int>(positional) : 2;
       }
-      bp.num_threads = num_threads;
+      bp.threads = static_cast<int>(num_threads);
       bp.seed = seed;
       bp.governor = &governor;
       return RunBatchCommand(bp);
     }
     if (command == "decompose") {
       governor.SetDeadlineSeconds(deadline_seconds > 0 ? deadline_seconds
-                                                       : budget_arg);
+                                                       : budget_seconds);
       ExactGhwOptions options;
       options.budget = &governor;
-      options.num_threads = num_threads;
       options.seed = static_cast<uint64_t>(seed);
       ExactGhwResult r = ExactGhw(h, options);
       run.lower_bound = r.lower_bound;

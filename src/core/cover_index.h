@@ -1,61 +1,139 @@
-// Precomputed cover-candidate index for the width-k decider, plus the bounded
+// Cover-candidate index for the width-k decider, plus the bounded
 // negative-separator cache.
 //
 // The decider needs, at every search state, the guards that can contribute to
-// a bag of that state's component. The naive loop — test every guard of the
-// family against the component's vertex set — rescans and re-filters the
-// whole family at every node, which dominates once the family is a subedge
-// closure (BIP instances inflate it far beyond the edge count). The index
-// stores, per vertex, the bitset of guards containing that vertex; candidate
-// discovery becomes a word-parallel union over the component's vertices, the
-// exact dual of FlatHypergraph::incidence_bits for component splitting.
+// a bag of that state's component, connector-covering ones first: the
+// λ-enumeration must cover the connector before it can succeed, so putting
+// those guards first moves successes toward the front of the subset tree.
+// The index keeps the family as two CSRs — guard → sorted vertex ids and
+// vertex → ascending guard ids — plus one static order of the nonempty guards,
+// (|guard| desc, id asc), and hands each state a CandidateCursor:
 //
-// Candidates come back connected-first: guards meeting the state's connector
-// ordered by how much of it they cover, then the rest by component coverage.
-// The λ-enumeration must cover the connector before it can succeed, so
-// connector-covering guards first moves successes toward the front of the
-// subset tree.
+//  * the *prefix* is the guards meeting the connector, gathered through the
+//    connector's vertex rows and scored (|g ∩ conn| desc, |g ∩ V(comp)| desc,
+//    id asc) — a handful of guards, whatever the family's size;
+//  * the *tail* is every other guard touching V(comp), ordered by
+//    (|g ∩ V(comp)| desc, id asc), and read only as far as the enumeration
+//    asks. When every guard has a parent edge, the tail is exactly the
+//    nonempty guards whose parent lies in the component and that miss the
+//    connector, and |g ∩ V(comp)| = |g| for each of them (DESIGN.md, "Why
+//    the static tail order is exact"), so the cursor filters the static
+//    order instead of scoring anything. Families without parent edges (tree
+//    projection targets) score their tail from the vertex CSR instead.
 //
-// Both directions of the index are BitMatrix strips (hypergraph/kernels.h):
-// guards_containing_ (one row per vertex over the guard universe) drives the
-// touching-union, guard_bits_ (one row per guard over the vertex universe)
-// drives the batched |guard ∩ conn| / |guard ∩ v_comp| scoring.
+// Prefix then tail is the same sequence the decider used to sort out of every
+// guard touching the component; only the work to produce it is local.
 #ifndef GHD_CORE_COVER_INDEX_H_
 #define GHD_CORE_COVER_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/k_decider.h"
-#include "hypergraph/flat_hypergraph.h"
 #include "hypergraph/hypergraph.h"
 #include "util/bitset.h"
 
 namespace ghd {
 
+class CoverIndex;
+
+/// One decider state's candidate guards in enumeration order: the scored
+/// prefix, then the tail, read lazily. Reusable: CoverIndex::Open resets it.
+class CandidateCursor {
+ public:
+  /// Guards meeting the connector; they come first and are always built.
+  size_t prefix_size() const { return prefix_size_; }
+
+  /// True when the state has an i-th candidate, reading the tail up to i.
+  bool Has(size_t i) {
+    while (i >= list_.size()) {
+      if (!walking_ || !Pull()) return false;
+    }
+    read_ = std::max(read_, i + 1);
+    return true;
+  }
+  /// The i-th candidate; Has(i) must have returned true.
+  int operator[](size_t i) const { return list_[i]; }
+
+  /// Candidates the state has looked at: the prefix plus the tail read.
+  size_t read() const { return std::max(prefix_size_, read_); }
+
+ private:
+  friend class CoverIndex;
+  // Appends the next tail guard from the static order; false at its end.
+  bool Pull();
+
+  const CoverIndex* index_ = nullptr;
+  const VertexSet* comp_ = nullptr;  // edge set, filters the static order
+  const VertexSet* conn_ = nullptr;
+  std::vector<int> list_;  // prefix, then the tail read so far
+  size_t prefix_size_ = 0;
+  size_t read_ = 0;
+  size_t walk_ = 0;       // next position in the static order
+  bool walking_ = false;  // tail still being read from the static order
+};
+
 class CoverIndex {
  public:
-  /// Builds the per-vertex guard lists. `h` and `family` must outlive the
+  /// Builds the CSRs and the static order. `h` and `family` must outlive the
   /// index.
   CoverIndex(const Hypergraph& h, const GuardFamily& family);
 
-  /// Guard ids touching at least one vertex of `vertices`, as a bitset over
-  /// the family.
-  VertexSet GuardsTouching(const VertexSet& vertices) const;
+  int num_guards() const { return static_cast<int>(guard_offsets_.size()) - 1; }
 
-  /// Fills `out` with the guards touching `v_comp`, connected-first: guards
-  /// intersecting `conn` sorted by descending |guard ∩ conn|, then the rest
-  /// by descending |guard ∩ v_comp|; ties break toward the lower guard id.
-  /// Deterministic in (v_comp, conn).
-  void CandidatesFor(const VertexSet& v_comp, const VertexSet& conn,
-                     std::vector<int>* out) const;
+  /// Sorted vertex ids of guard g.
+  std::span<const int32_t> GuardVertices(int g) const {
+    return {guard_vertices_.data() + guard_offsets_[g],
+            guard_vertices_.data() + guard_offsets_[g + 1]};
+  }
+  /// Ascending ids of the guards containing vertex v.
+  std::span<const int32_t> VertexGuards(int v) const {
+    return {vertex_guards_.data() + vertex_offsets_[v],
+            vertex_guards_.data() + vertex_offsets_[v + 1]};
+  }
+  /// Nonempty guards by (size desc, id asc).
+  const std::vector<int32_t>& static_order() const { return order_; }
+
+  /// Resets `cursor` to the candidates of the state (comp, conn): comp is an
+  /// edge set, v_comp = V(comp) and conn ⊆ v_comp. With parent edges, every
+  /// edge outside comp must meet v_comp only inside conn — the decider's
+  /// state invariant. `comp` and `conn` must outlive the cursor's reads.
+  void Open(const VertexSet& comp, const VertexSet& v_comp,
+            const VertexSet& conn, CandidateCursor* cursor) const;
 
  private:
+  friend class CandidateCursor;
+  bool Meets(int g, const VertexSet& vertices) const {
+    for (int32_t v : GuardVertices(g)) {
+      if (vertices.Test(v)) return true;
+    }
+    return false;
+  }
+
   const GuardFamily* family_;
-  int num_guards_;
-  BitMatrix guards_containing_;  // rows = vertices, universe = family
-  BitMatrix guard_bits_;         // rows = guards, universe = vertices
+  bool parented_;  // every guard has a parent edge
+  std::vector<int32_t> guard_offsets_;
+  std::vector<int32_t> guard_vertices_;
+  std::vector<int32_t> vertex_offsets_;
+  std::vector<int32_t> vertex_guards_;
+  std::vector<int32_t> order_;  // the static tail order
 };
+
+inline bool CandidateCursor::Pull() {
+  const std::vector<int32_t>& order = index_->order_;
+  const std::vector<int>& parent = index_->family_->parent_edge;
+  while (walk_ < order.size()) {
+    const int g = order[walk_++];
+    if (comp_->Test(parent[g]) && !index_->Meets(g, *conn_)) {
+      list_.push_back(g);
+      return true;
+    }
+  }
+  walking_ = false;
+  return false;
+}
 
 /// Bounded cache of (component, separator) pairs that are proven
 /// not to work: chi failed the progress rule or some child component of

@@ -72,7 +72,8 @@ struct NegativeStore {
 
 // The cross-call share of a k-ladder (see KLadderContext in the header): the
 // interner that issues every state id, the cover-candidate index, and the
-// monotone positive memo. Built once per (h, family), reused by every rung.
+// monotone positive memo. Built once per (h, family), reused by every rung;
+// building the index checks the family (each guard inside its parent edge).
 // Rebind (incremental re-decomposition) re-points h/flat/family at the next
 // version and rebuilds the index; the interner is append-only, so ids issued
 // for the old edge universe simply linger as unreferenced garbage.
@@ -84,7 +85,7 @@ struct LadderState {
         index(std::make_unique<CoverIndex>(h_in, family_in)) {}
 
   const Hypergraph* h;
-  const FlatHypergraph* flat;  // h's CSR/bitset-matrix view, shared by rungs
+  const FlatHypergraph* flat;  // h's CSR view, shared by rungs
   const GuardFamily* family;
   SetInterner interner;
   std::unique_ptr<CoverIndex> index;  // rebuilt on Rebind
@@ -108,20 +109,20 @@ using internal::StateValue;
 
 // One state's connector bookkeeping for the λ-enumeration, over the
 // connector's own members: bit j stands for the j-th vertex of conn. Row i
-// of the guard rows is guards[candidates[i]] ∩ conn, and suffix row i the
-// union of guard rows i, i+1, ... (the last suffix row is empty). A branch
-// only asks which connector vertices no chosen guard covers yet, and that
-// set is always inside conn, so these rows of a few words give the same
-// answers as n-bit rows would. The decider recurses about m/2 states deep on
-// a cycle, each state holding its rows, so their size is the decider's peak
-// memory: O(|candidates| * |conn| / 64) words, not O(|candidates| * n / 64).
+// is prefix candidate i ∩ conn, and suffix row i the union of rows i, i+1,
+// ... to the end of the prefix (the last suffix row is empty). Tail
+// candidates miss the connector, so their rows would be empty: Suffix(i) at
+// or past the end of the prefix is that empty row. A branch only asks which
+// connector vertices no chosen guard covers yet, and that set is always
+// inside conn, so rows of a few words give the same answers as n-bit rows
+// would: O(|prefix| * |conn| / 64) words per state.
 struct ConnRows {
-  ConnRows(const VertexSet& conn, const std::vector<int>& candidates,
-           const GuardFamily& family)
-      : members(conn.Count()),
-        words((members + 63) / 64),
-        count(candidates.size()),
-        data((2 * count + 1) * words, 0) {
+  void Build(const VertexSet& conn, const CandidateCursor& candidates,
+             const GuardFamily& family) {
+    members = conn.Count();
+    words = (members + 63) / 64;
+    count = candidates.prefix_size();
+    data.assign((2 * count + 1) * words, 0);
     for (size_t i = 0; i < count; ++i) {
       const VertexSet& guard = family.guards[candidates[i]];
       uint64_t* row = data.data() + i * words;
@@ -139,19 +140,83 @@ struct ConnRows {
     }
   }
 
-  // Guard row i over the members.
+  // Guard row i (i < count) over the members.
   const uint64_t* Guard(size_t i) const { return data.data() + i * words; }
   const uint64_t* Suffix(size_t i) const {
-    return data.data() + (count + i) * words;
+    return data.data() + (count + std::min(i, count)) * words;
   }
 
-  int members;
-  int words;
-  size_t count;
+  int members = 0;
+  int words = 0;
+  size_t count = 0;            // prefix candidates
   std::vector<uint64_t> data;  // count guard rows, then count + 1 suffix rows
 };
 
+// One depth of a state's λ-enumeration: the candidate position to try next,
+// and the connector members the guards chosen above it leave uncovered.
+struct Level {
+  size_t next = 0;
+  VertexSet left;
+};
+
+// One (component, connector) state under decision, on the decider's explicit
+// stack. `lambda` is the guard choice being built, levels[d] the enumeration
+// at its d-th slot. While a connector-covering choice is evaluated, chi and
+// children hold its separator and child states, and children[child] is the
+// one being decided.
+struct Frame {
+  enum class Phase {
+    kEnter,  // entering the enumeration at depth lambda.size()
+    kLoop,   // trying the next candidate at depth lambda.size()
+    kChild,  // children[child] has been decided; its verdict is child_ok
+  };
+
+  StateKey key;
+  const VertexSet* comp = nullptr;  // interned, stable
+  const VertexSet* conn = nullptr;
+  VertexSet v_comp;
+  CandidateCursor candidates;
+  ConnRows rows;
+  std::vector<int> lambda;
+  std::vector<Level> levels;  // k + 1
+  Phase phase = Phase::kEnter;
+  VertexSet chi;
+  uint64_t neg_key = 0;
+  std::vector<StateKey> children;
+  size_t child = 0;
+  bool child_ok = false;
+};
+
+// A child block of a split: its edges and its connector V(part) ∩ chi.
+struct Part {
+  VertexSet edges;
+  VertexSet conn;
+};
+
+// Clears `s` in place, or makes it an empty set over `universe`.
+void ResetSet(VertexSet* s, int universe) {
+  if (s->universe_size() == universe) {
+    s->Clear();
+  } else {
+    *s = VertexSet(universe);
+  }
+}
+
+// The search of one DecideWidthK call. Decide → enumerate λ → evaluate λ →
+// decide the children is the recursion of det-k-decomp; it runs here as a
+// loop over a heap-allocated stack of Frames, so its depth (about m/2 states
+// on a cycle) is bounded by memory, not by the thread's stack. Every tick,
+// memo probe, interning and budget check happens in the order the recursive
+// form would make it.
+//
+// The state invariant: every edge outside a state's component meets V(comp)
+// only inside the state's connector. Roots have it (their components share
+// no vertex with other edges), and each child built by TryLambda keeps it
+// (DESIGN.md). It makes the candidate tail a filter of the index's static
+// order, and keeps the splits below inside the component.
 struct Decider {
+  enum class Step { kTrue, kFalse, kChild };
+
   const Hypergraph* h;
   const FlatHypergraph* flat;
   const GuardFamily* family;
@@ -172,6 +237,33 @@ struct Decider {
   PositiveMemo* pos_memo = nullptr;
   NegativeMemo* neg_memo = nullptr;
   NegSeparatorCache* neg_cache = nullptr;
+
+  // The state stack: frames_[0, depth_) are live; frames past depth_ are
+  // kept for reuse, with their buffers.
+  std::vector<std::unique_ptr<Frame>> frames_;
+  size_t depth_ = 0;
+
+  // Split scratch: epoch-stamped edge and vertex marks, the BFS stack and
+  // the parts of the latest split.
+  std::vector<uint32_t> edge_mark_;
+  std::vector<uint32_t> vertex_mark_;
+  uint32_t epoch_ = 0;
+  std::vector<int> stack_;
+  std::vector<Part> parts_;
+
+  void Init() {
+    edge_mark_.assign(h->num_edges(), 0);
+    vertex_mark_.assign(h->num_vertices(), 0);
+  }
+
+  uint32_t NextEpoch() {
+    if (epoch_ == UINT32_MAX) {
+      std::fill(edge_mark_.begin(), edge_mark_.end(), 0);
+      std::fill(vertex_mark_.begin(), vertex_mark_.end(), 0);
+      epoch_ = 0;
+    }
+    return ++epoch_;
+  }
 
   bool Tick() {
     ++states;
@@ -200,128 +292,98 @@ struct Decider {
     return StateKey{InternCharged(comp), InternCharged(conn)};
   }
 
-  // Splits `edges_left` into connected blocks, treating vertices in `chi` as
-  // removed: two edges are connected when they share a vertex outside chi.
-  // Batched BFS over the flat CSR incidence arrays (hypergraph/kernels.h):
-  // expanding an edge streams the incidence_bits rows of its open vertices,
-  // no per-edge rescans and no per-step VertexSet allocation.
-  std::vector<VertexSet> SplitComponents(const VertexSet& edges_left,
-                                         const VertexSet& chi) const {
-    return kernels::FlatSplitComponents(*flat, edges_left, chi);
-  }
-
-  VertexSet VerticesOf(const VertexSet& comp) const {
-    return kernels::FlatVerticesOf(*flat, comp);
-  }
-
-  // Evaluates one complete guard choice; fills `value` and returns true on
-  // success. Child components are decided in order, stopping at the first
-  // failure. Failed (component, chi) pairs land in the negative-separator
-  // cache — distinct guard subsets unioning to the same chi then fail
-  // without re-splitting — but only when the failure is proven (truncated
-  // failures are never cached, the same soundness rule the memo follows).
-  bool TryLambda(const StateKey& key, const VertexSet& comp,
-                 const VertexSet& conn, const VertexSet& v_comp,
-                 const std::vector<int>& lambda, int depth,
-                 StateValue* value) {
-    GHD_COUNT(kDeciderLambdaTried);
-    VertexSet chi(h->num_vertices());
-    for (int g : lambda) chi |= family->guards[g];
-    chi &= v_comp;
-    if (!conn.IsSubsetOf(chi)) return false;
-    const uint32_t chi_id = InternCharged(chi);
-    const uint64_t neg_key = NegSeparatorCache::Key(key.comp_id, chi_id);
-    if (neg_cache->Contains(neg_key)) {
-      GHD_COUNT(kSeparatorNegHits);
-      return false;
-    }
-    auto fail_proven = [&] {
-      GHD_COUNT(kSeparatorNegInserts);
-      neg_cache->Insert(neg_key);
-      return false;
-    };
-    // Edges of the component fully inside chi are covered here. Subset tests
-    // read the flat edge_bits rows — contiguous strip, one IsSubset kernel
-    // call per member edge.
-    VertexSet rem = comp;
-    bool covered_any = false;
-    const BitMatrix& edge_bits = flat->edge_bits();
+  // V(comp), walking the component's edges in the edge CSR.
+  void VerticesOf(const VertexSet& comp, VertexSet* out) const {
+    ResetSet(out, h->num_vertices());
+    const std::vector<int32_t>& eoff = flat->edge_offsets();
+    const std::vector<int32_t>& everts = flat->edge_vertices();
     comp.ForEach([&](int e) {
-      if (kernels::IsSubset(edge_bits.row(e), chi.word_data(),
-                            chi.word_count())) {
-        rem.Reset(e);
-        covered_any = true;
+      for (int32_t i = eoff[e]; i < eoff[e + 1]; ++i) out->Set(everts[i]);
+    });
+  }
+
+  // Copies `comp` into `rem` without the component edges that lie inside
+  // chi; true when there was one. An edge inside chi has a vertex in chi
+  // unless it is empty, and an empty edge is a root component of its own,
+  // which has no candidates and never gets here; so walking chi's incident
+  // edges finds them all.
+  bool RemoveCovered(const VertexSet& comp, const VertexSet& chi,
+                     VertexSet* rem) {
+    *rem = comp;
+    const std::vector<int32_t>& eoff = flat->edge_offsets();
+    const std::vector<int32_t>& everts = flat->edge_vertices();
+    const std::vector<int32_t>& voff = flat->vertex_offsets();
+    const std::vector<int32_t>& vedges = flat->vertex_edges();
+    const uint32_t epoch = NextEpoch();
+    bool covered_any = false;
+    chi.ForEach([&](int v) {
+      for (int32_t j = voff[v]; j < voff[v + 1]; ++j) {
+        const int e = vedges[j];
+        if (edge_mark_[e] == epoch) continue;
+        edge_mark_[e] = epoch;
+        if (!comp.Test(e)) continue;
+        bool inside = true;
+        for (int32_t i = eoff[e]; i < eoff[e + 1] && inside; ++i) {
+          inside = chi.Test(everts[i]);
+        }
+        if (inside) {
+          rem->Reset(e);
+          covered_any = true;
+        }
       }
     });
-    std::vector<VertexSet> parts = SplitComponents(rem, chi);
-    // Progress rule: every child block must be strictly smaller than the
-    // current component; otherwise this guard choice loops.
-    if (!covered_any && parts.size() == 1 && parts[0] == comp) {
-      return fail_proven();
-    }
-    std::vector<StateKey> children;
-    children.reserve(parts.size());
-    for (VertexSet& part : parts) {
-      VertexSet child_conn = VerticesOf(part);
-      child_conn &= chi;
-      children.push_back(MakeKey(part, child_conn));
-    }
-    for (const StateKey& child : children) {
-      if (!Decide(child, depth + 1)) {
-        // A child refutation is a proven failure of (comp, chi) only when
-        // no truncation is in flight; otherwise the child may merely have
-        // been cut short.
-        if (!OutOfBudget()) fail_proven();
-        return false;
-      }
-      if (OutOfBudget()) return false;
-    }
-    value->chi = std::move(chi);
-    value->lambda = lambda;
-    value->children = std::move(children);
-    return true;
+    return covered_any;
   }
 
-  // Enumerates guard subsets of size <= k over `candidates`, evaluating each
-  // complete connector-covering choice; returns true on first success.
-  // `conn_left` is the part of the connector no chosen guard covers yet, over
-  // the connector's members (ConnRows). A branch whose remaining connector is
-  // not inside the suffix union of the candidates still open can never
-  // complete a cover, so the whole subtree is pruned with one subset test
-  // against a suffix row.
-  bool EnumerateLambda(const StateKey& key, const VertexSet& comp,
-                       const VertexSet& conn, const VertexSet& v_comp,
-                       const std::vector<int>& candidates,
-                       const ConnRows& rows, size_t from,
-                       std::vector<int>* lambda, const VertexSet& conn_left,
-                       int depth, StateValue* value) {
-    if (!kernels::IsSubset(conn_left.word_data(), rows.Suffix(from),
-                           rows.words)) {
-      return false;
-    }
-    if (!Tick()) return false;  // Bound the subset enumeration itself.
-    if (!lambda->empty() && conn_left.Empty()) {
-      if (TryLambda(key, comp, conn, v_comp, *lambda, depth, value)) {
-        return true;
+  // Splits `rem` into [chi]-connected parts: two edges are connected when
+  // they share a vertex outside chi. A BFS over the CSRs in which each open
+  // vertex is expanded once; by the state invariant all its incident edges
+  // lie in the component, so the walk stays inside it. Seeds are taken in
+  // ascending edge id, so parts come in ascending order of their least edge
+  // (the order of kernels::FlatSplitComponents), each with its connector
+  // V(part) ∩ chi.
+  void SplitComponents(const VertexSet& rem, const VertexSet& chi) {
+    const std::vector<int32_t>& eoff = flat->edge_offsets();
+    const std::vector<int32_t>& everts = flat->edge_vertices();
+    const std::vector<int32_t>& voff = flat->vertex_offsets();
+    const std::vector<int32_t>& vedges = flat->vertex_edges();
+    const uint32_t epoch = NextEpoch();
+    parts_.clear();
+    rem.ForEach([&](int seed) {
+      if (edge_mark_[seed] == epoch) return;
+      parts_.push_back(
+          Part{VertexSet(h->num_edges()), VertexSet(h->num_vertices())});
+      Part& part = parts_.back();
+      edge_mark_[seed] = epoch;
+      part.edges.Set(seed);
+      stack_.assign(1, seed);
+      while (!stack_.empty()) {
+        const int e = stack_.back();
+        stack_.pop_back();
+        for (int32_t i = eoff[e]; i < eoff[e + 1]; ++i) {
+          const int v = everts[i];
+          if (chi.Test(v)) {
+            part.conn.Set(v);
+            continue;
+          }
+          if (vertex_mark_[v] == epoch) continue;
+          vertex_mark_[v] = epoch;
+          for (int32_t j = voff[v]; j < voff[v + 1]; ++j) {
+            const int f = vedges[j];
+            if (edge_mark_[f] == epoch || !rem.Test(f)) continue;
+            edge_mark_[f] = epoch;
+            part.edges.Set(f);
+            stack_.push_back(f);
+          }
+        }
       }
-      if (OutOfBudget()) return false;
-    }
-    if (static_cast<int>(lambda->size()) == k) return false;
-    for (size_t i = from; i < candidates.size(); ++i) {
-      lambda->push_back(candidates[i]);
-      VertexSet next_conn = conn_left;
-      next_conn.SubtractWords(rows.Guard(i));
-      if (EnumerateLambda(key, comp, conn, v_comp, candidates, rows, i + 1,
-                          lambda, next_conn, depth, value)) {
-        return true;
-      }
-      lambda->pop_back();
-      if (OutOfBudget()) return false;
-    }
-    return false;
+    });
   }
 
-  bool Decide(const StateKey& key, int depth) {
+  // Opens the state `key` one level above the top of the stack: settles it
+  // from the memos (or the budget) at once, or pushes its frame. Returns 1
+  // or 0 for a settled true or false, -1 for a pushed frame.
+  int Enter(const StateKey& key) {
     // Positive memo first: a decomposable state stays decomposable at any
     // larger width, so a hit is valid whether the entry came from this call
     // or from an earlier rung of a shared k-ladder. Negative entries come
@@ -329,35 +391,48 @@ struct Decider {
     // *same* k, so a hit there is a width-k refutation by construction.
     if (pos_memo->count(key) != 0) {
       GHD_COUNT(kDeciderMemoHits);
-      return true;
+      return 1;
     }
     if (neg_memo->count(key) != 0) {
       GHD_COUNT(kDeciderMemoHits);
-      return false;
+      return 0;
     }
     GHD_COUNT(kDeciderMemoMisses);
-    if (!Tick()) return false;
-    GHD_BOARD_SET(kFrontierDepth, depth);
+    if (!Tick()) return 0;
+    GHD_BOARD_SET(kFrontierDepth, static_cast<long>(depth_));
 
-    const VertexSet& comp = interner->Resolve(key.comp_id);
-    const VertexSet& conn = interner->Resolve(key.conn_id);
-    const VertexSet v_comp = VerticesOf(comp);
-    // Candidate guards from the index: only guards touching the component
-    // can contribute to chi, connector-covering ones first.
-    std::vector<int> candidates;
-    index->CandidatesFor(v_comp, conn, &candidates);
-    // The candidates' connector rows and their suffix unions for the
-    // futility prune in EnumerateLambda. One O(|candidates| * |conn|) pass
-    // here saves whole subset subtrees per state.
-    const ConnRows rows(conn, candidates, *family);
-    StateValue value;
-    std::vector<int> lambda;
-    if (EnumerateLambda(key, comp, conn, v_comp, candidates, rows, 0, &lambda,
-                        VertexSet::Full(rows.members), depth, &value)) {
+    if (depth_ == frames_.size()) frames_.push_back(std::make_unique<Frame>());
+    Frame& f = *frames_[depth_++];
+    f.key = key;
+    f.comp = &interner->Resolve(key.comp_id);
+    f.conn = &interner->Resolve(key.conn_id);
+    VerticesOf(*f.comp, &f.v_comp);
+    // Connector-meeting guards first, scored; the rest read on demand.
+    index->Open(*f.comp, f.v_comp, *f.conn, &f.candidates);
+    // The prefix's connector rows and their suffix unions for the futility
+    // prune. One O(|prefix| * |conn|) pass here saves whole subset subtrees.
+    f.rows.Build(*f.conn, f.candidates, *family);
+    f.lambda.clear();
+    f.levels.resize(k + 1);
+    f.levels[0].next = 0;
+    f.levels[0].left = VertexSet::Full(f.rows.members);
+    f.phase = Frame::Phase::kEnter;
+    return -1;
+  }
+
+  // Pops the top frame with its verdict, memoizing it.
+  bool Leave(Frame& f, bool ok) {
+    GHD_HISTO(kLambdaCandidates, static_cast<long>(f.candidates.read()));
+    --depth_;
+    if (ok) {
       // Successes are complete witnesses regardless of budget state:
       // memoize unconditionally, so every true child a parent references is
       // resident for reconstruction.
-      MemoizeTrue(key, std::move(value));
+      StateValue value;
+      value.chi = std::move(f.chi);
+      value.lambda = f.lambda;
+      value.children = std::move(f.children);
+      MemoizeTrue(f.key, std::move(value));
       return true;
     }
     // A false under an exhausted budget may be a truncated search, not a
@@ -371,8 +446,157 @@ struct Decider {
       GHD_COUNT(kDeciderUnprovenFalse);
       return false;
     }
-    MemoizeFalse(key, truncated);
+    MemoizeFalse(f.key, truncated);
     return false;
+  }
+
+  // Decides `root` and everything below it.
+  bool Decide(const StateKey& root) {
+    int settled = Enter(root);
+    if (settled >= 0) return settled == 1;
+    for (;;) {
+      Frame& f = *frames_[depth_ - 1];
+      const Step step = Run(f);
+      if (step == Step::kChild) {
+        settled = Enter(f.children[f.child]);
+        if (settled >= 0) f.child_ok = settled == 1;
+        continue;
+      }
+      const bool ok = Leave(f, step == Step::kTrue);
+      if (depth_ == 0) return ok;
+      frames_[depth_ - 1]->child_ok = ok;
+    }
+  }
+
+  // Advances the λ-enumeration of `f` until it settles the state or needs a
+  // child decided. Enumerates guard subsets of size <= k over the
+  // candidates, evaluating each complete connector-covering choice, and
+  // stops at the first success. A branch whose uncovered connector is not
+  // inside the suffix union of the candidates still open can never complete
+  // a cover, so its whole subtree is pruned with one subset test; past the
+  // prefix that union is empty, so the enumeration stops at the end of the
+  // prefix while any connector vertex is uncovered.
+  Step Run(Frame& f) {
+    using Phase = Frame::Phase;
+    for (;;) {
+      const size_t d = f.lambda.size();
+      Level& level = f.levels[d];
+      switch (f.phase) {
+        case Phase::kEnter:
+          if (!kernels::IsSubset(level.left.word_data(),
+                                 f.rows.Suffix(level.next), f.rows.words) ||
+              !Tick()) {  // the tick bounds the subset enumeration itself
+            if (Unwind(f)) return Step::kFalse;
+            break;
+          }
+          if (d > 0 && level.left.Empty()) {
+            const Step step = TryLambda(f);
+            if (step != Step::kFalse) return step;
+            if (LambdaFailed(f)) return Step::kFalse;
+            break;
+          }
+          f.phase = Phase::kLoop;
+          break;
+        case Phase::kLoop: {
+          const size_t i = level.next;
+          if (d == static_cast<size_t>(k) ||
+              (i >= f.rows.count && !level.left.Empty()) ||
+              !f.candidates.Has(i)) {
+            if (Unwind(f)) return Step::kFalse;
+            break;
+          }
+          level.next = i + 1;
+          f.lambda.push_back(f.candidates[i]);
+          Level& down = f.levels[d + 1];
+          down.next = i + 1;
+          down.left = level.left;
+          if (i < f.rows.count) down.left.SubtractWords(f.rows.Guard(i));
+          f.phase = Phase::kEnter;
+          break;
+        }
+        case Phase::kChild:
+          if (f.child_ok && !OutOfBudget()) {
+            if (++f.child < f.children.size()) return Step::kChild;
+            return Step::kTrue;
+          }
+          // A child refutation is a proven failure of (comp, chi) only when
+          // no truncation is in flight; otherwise the child may merely have
+          // been cut short.
+          if (!f.child_ok && !OutOfBudget()) FailProven(f);
+          if (LambdaFailed(f)) return Step::kFalse;
+          break;
+      }
+    }
+  }
+
+  // The enumeration at depth lambda.size() came back false: returns to the
+  // depth above (dropping the guard chosen there) and goes on with its next
+  // candidate, or unwinds further while the budget is out. True when depth
+  // 0 came back, i.e. the state's enumeration is over.
+  bool Unwind(Frame& f) {
+    for (;;) {
+      if (f.lambda.empty()) return true;
+      f.lambda.pop_back();
+      if (!OutOfBudget()) {
+        f.phase = Frame::Phase::kLoop;
+        return false;
+      }
+    }
+  }
+
+  // A complete guard choice failed: the enumeration goes on at the same
+  // depth, or unwinds when the budget is out. True when the state is over.
+  bool LambdaFailed(Frame& f) {
+    if (OutOfBudget()) return Unwind(f);
+    f.phase = Frame::Phase::kLoop;
+    return false;
+  }
+
+  void FailProven(const Frame& f) {
+    GHD_COUNT(kSeparatorNegInserts);
+    neg_cache->Insert(f.neg_key);
+  }
+
+  // Evaluates the complete guard choice f.lambda: builds chi, covers the
+  // component edges inside it and splits the rest into child states.
+  // Returns kChild with the children queued, kTrue when no edge is left, or
+  // kFalse. Failed (component, chi) pairs land in the negative-separator
+  // cache — distinct guard subsets unioning to the same chi then fail
+  // without re-splitting — but only when the failure is proven (truncated
+  // failures are never cached, the same soundness rule the memo follows).
+  Step TryLambda(Frame& f) {
+    GHD_COUNT(kDeciderLambdaTried);
+    ResetSet(&f.chi, h->num_vertices());
+    for (int g : f.lambda) {
+      for (int32_t v : index->GuardVertices(g)) {
+        if (f.v_comp.Test(v)) f.chi.Set(v);
+      }
+    }
+    if (!f.conn->IsSubsetOf(f.chi)) return Step::kFalse;
+    const uint32_t chi_id = InternCharged(f.chi);
+    f.neg_key = NegSeparatorCache::Key(f.key.comp_id, chi_id);
+    if (neg_cache->Contains(f.neg_key)) {
+      GHD_COUNT(kSeparatorNegHits);
+      return Step::kFalse;
+    }
+    // Progress rule: every child block must be strictly smaller than the
+    // current component; otherwise this guard choice loops. With no edge
+    // covered, rem is the whole component, so one part is all of it.
+    VertexSet rem;
+    const bool covered_any = RemoveCovered(*f.comp, f.chi, &rem);
+    SplitComponents(rem, f.chi);
+    if (!covered_any && parts_.size() == 1) {
+      FailProven(f);
+      return Step::kFalse;
+    }
+    f.children.clear();
+    for (const Part& part : parts_) {
+      f.children.push_back(MakeKey(part.edges, part.conn));
+    }
+    if (f.children.empty()) return Step::kTrue;
+    f.child = 0;
+    f.phase = Frame::Phase::kChild;
+    return Step::kChild;
   }
 
   // Inserts a positive witness into the (possibly cross-rung) memo,
@@ -410,28 +634,47 @@ struct Decider {
   }
 
   // Rebuilds the decomposition tree for a successful root state; returns the
-  // index of the subtree root in `out`.
-  int Reconstruct(const StateKey& key,
+  // index of the subtree root in `out`. Bags come in preorder, and each tree
+  // edge once its child's subtree is complete — the order of a recursive
+  // walk — from an explicit stack.
+  int Reconstruct(const StateKey& root,
                   GeneralizedHypertreeDecomposition* out) {
-    const auto it = pos_memo->find(key);
-    GHD_CHECK(it != pos_memo->end());
-    const StateValue* value = &it->second;
-    const int node = out->num_nodes();
-    out->bags.push_back(value->chi);
-    std::vector<int> edge_ids;
-    for (int g : value->lambda) {
-      const int parent = family->parent_edge[g];
-      if (parent >= 0 && std::find(edge_ids.begin(), edge_ids.end(), parent) ==
-                             edge_ids.end()) {
-        edge_ids.push_back(parent);
+    struct Open {
+      const StateValue* value;
+      int node;
+      size_t next;  // next child to visit
+    };
+    std::vector<Open> stack;
+    auto open = [&](const StateKey& key) {
+      const auto it = pos_memo->find(key);
+      GHD_CHECK(it != pos_memo->end());
+      const StateValue* value = &it->second;
+      const int node = out->num_nodes();
+      out->bags.push_back(value->chi);
+      std::vector<int> edge_ids;
+      for (int g : value->lambda) {
+        const int parent = family->parent_edge[g];
+        if (parent >= 0 && std::find(edge_ids.begin(), edge_ids.end(),
+                                     parent) == edge_ids.end()) {
+          edge_ids.push_back(parent);
+        }
       }
+      out->guards.push_back(std::move(edge_ids));
+      stack.push_back(Open{value, node, 0});
+      return node;
+    };
+    const int root_node = open(root);
+    while (!stack.empty()) {
+      Open& top = stack.back();
+      if (top.next < top.value->children.size()) {
+        open(top.value->children[top.next++]);
+        continue;
+      }
+      const int node = top.node;
+      stack.pop_back();
+      if (!stack.empty()) out->tree_edges.emplace_back(stack.back().node, node);
     }
-    out->guards.push_back(std::move(edge_ids));
-    for (const StateKey& child : value->children) {
-      const int child_node = Reconstruct(child, out);
-      out->tree_edges.emplace_back(node, child_node);
-    }
-    return node;
+    return root_node;
   }
 };
 
@@ -607,13 +850,10 @@ KDeciderResult DecideWidthK(const Hypergraph& h, const GuardFamily& family,
                             int k, const KDeciderOptions& options,
                             KLadderContext* ladder) {
   GHD_CHECK(k >= 1);
+  // The family check (each guard inside its parent edge) runs where the
+  // cover index is built: once per LadderState, so once per call without a
+  // ladder, once per ladder and once per Rebind with one.
   const bool has_parents = family.HasParents();
-  for (int g = 0; g < family.size(); ++g) {
-    GHD_CHECK(family.parent_edge[g] < h.num_edges());
-    if (family.parent_edge[g] >= 0) {
-      GHD_CHECK(family.guards[g].IsSubsetOf(h.edge(family.parent_edge[g])));
-    }
-  }
   KDeciderResult result;
   result.guards_valid = has_parents;
   if (h.num_edges() == 0) {
@@ -677,20 +917,21 @@ KDeciderResult DecideWidthK(const Hypergraph& h, const GuardFamily& family,
   }
 
   // Root components of all edges with an empty separator.
-  std::vector<VertexSet> roots =
-      decider.SplitComponents(VertexSet::Full(h.num_edges()),
-                              VertexSet(h.num_vertices()));
+  decider.Init();
+  decider.SplitComponents(VertexSet::Full(h.num_edges()),
+                          VertexSet(h.num_vertices()));
+  std::vector<Part> roots = std::move(decider.parts_);
   GHD_GAUGE_MAX(kMaxGuardFamily, family.size());
   GHD_BOARD_SET(kWidthK, k);
   GHD_BOARD_SET(kGuardFamily, family.size());
   std::vector<StateKey> root_keys;
   bool all_ok = true;
-  for (VertexSet& comp : roots) {
-    const StateKey key = decider.MakeKey(comp, VertexSet(h.num_vertices()));
+  for (const Part& root : roots) {
+    const StateKey key = decider.MakeKey(root.edges, root.conn);
     GHD_SPAN_VAR(span, "decider", "decide-component");
     span.SetArg("k", k);
-    span.SetArg("edges", comp.Count());
-    if (!decider.Decide(key, 0)) {
+    span.SetArg("edges", root.edges.Count());
+    if (!decider.Decide(key)) {
       all_ok = false;
       break;
     }

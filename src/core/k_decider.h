@@ -99,8 +99,9 @@ struct RebindStats {
 ///
 ///  * the SetInterner holding every component/connector/separator set (ids
 ///    stay stable across rungs, so memo keys carry over);
-///  * the CoverIndex (per-vertex guard bitsets + candidate ordering — the
-///    family does not change with k);
+///  * the CoverIndex (guard/vertex CSRs + the static candidate order — the
+///    family does not change with k), whose build also checks that every
+///    guard lies inside its parent edge;
 ///  * the *positive* state memo: a (component, connector) state decided
 ///    decomposable at width k stays decomposable at every k' >= k (its
 ///    subtree has width <= k <= k'), so positive entries are monotone in k

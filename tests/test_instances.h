@@ -14,6 +14,7 @@
 #include "htd/det_k_decomp.h"
 #include "hypergraph/canonical.h"
 #include "hypergraph/hypergraph.h"
+#include "hypergraph/hypergraph_builder.h"
 #include "util/resource_governor.h"
 #include "util/rng.h"
 
@@ -62,6 +63,23 @@ inline std::vector<std::pair<std::string, Hypergraph>> RepeatBatchCatalogue() {
     }
   }
   return out;
+}
+
+/// `m` edges over `n` vertices, each of a random arity in [1, max_arity]:
+/// edge sizes that neither follow edge ids nor agree, so orders by size and
+/// by id differ.
+inline Hypergraph MixedArityHypergraph(int n, int m, int max_arity,
+                                       uint64_t seed) {
+  Rng rng(seed);
+  HypergraphBuilder b;
+  for (int e = 0; e < m; ++e) {
+    std::vector<int> vertices = RandomPerm(n, &rng);
+    vertices.resize(1 + rng.UniformInt(max_arity));
+    std::vector<std::string> names;
+    for (int v : vertices) names.push_back("v" + std::to_string(v));
+    b.AddEdge("e" + std::to_string(e), names);
+  }
+  return std::move(b).Build();
 }
 
 /// The HypertreeWidthAtMost ladder from k = 1 to max_k, each rung on its own

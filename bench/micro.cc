@@ -19,7 +19,6 @@
 #include "hypergraph/acyclicity.h"
 #include "hypergraph/canonical.h"
 #include "hypergraph/flat_hypergraph.h"
-#include "hypergraph/kernels.h"
 #include "gen/circuits.h"
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
@@ -272,9 +271,9 @@ void BM_ClosureEnumerate(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosureEnumerate)->Arg(24)->Arg(40);
 
-// Building the flat CSR + bitset-matrix view (FlatHypergraph). This is the
-// once-per-instance cost the kernels amortize; pinned in perf-smoke so a
-// regression in the build pass can't hide behind fast kernels.
+// Building the flat CSR view (FlatHypergraph). This is the once-per-instance
+// cost every CSR walk amortizes; pinned in perf-smoke so a regression in the
+// build pass can't hide behind fast searches.
 void BM_CsrBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Hypergraph h = RandomUniformHypergraph(n, n, 4, 7);
@@ -284,80 +283,6 @@ void BM_CsrBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CsrBuild)->Arg(64)->Arg(256);
-
-// Kernel-backed component splitting over the CSR incidence arrays — the
-// decider's SplitComponents hot loop with a quarter of the vertices removed
-// as the separator.
-void BM_FlatSplit(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Hypergraph h = RandomUniformHypergraph(n, n, 4, 7);
-  const FlatHypergraph& flat = h.Flat();
-  const VertexSet all = VertexSet::Full(h.num_edges());
-  VertexSet chi(h.num_vertices());
-  for (int v = 0; v < n; v += 4) chi.Set(v);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kernels::FlatSplitComponents(flat, all, chi).size());
-  }
-}
-BENCHMARK(BM_FlatSplit)->Arg(64)->Arg(256);
-
-// The cover-check acceptance pair: identical guard data and probes, scored
-// once through the batched matrix kernel (BM_BatchCoverCheck) and once
-// through the pre-flat per-guard VertexSet::IntersectCount loop
-// (BM_ScalarCoverCheck). Arg is the vertex universe; 128 is the VertexSet
-// inline boundary, larger universes put the scalar path on heap sets. Guard
-// count is fixed at 256 rows, the scale of a BIP subedge-closure family.
-constexpr int kCoverGuards = 256;
-
-struct CoverCheckFixture {
-  explicit CoverCheckFixture(int n)
-      : matrix(kCoverGuards, n), guards(), conn(n), comp(n) {
-    guards.reserve(kCoverGuards);
-    for (int g = 0; g < kCoverGuards; ++g) {
-      VertexSet s(n);
-      for (int v = g % 13; v < n; v += 3 + g % 7) s.Set(v);
-      matrix.SetRow(g, s);
-      guards.push_back(std::move(s));
-      ids.push_back(g);
-    }
-    for (int v = 0; v < n; v += 5) conn.Set(v);
-    for (int v = 0; v < n; v += 2) comp.Set(v);
-  }
-  BitMatrix matrix;
-  std::vector<VertexSet> guards;
-  std::vector<int32_t> ids;
-  VertexSet conn;
-  VertexSet comp;
-};
-
-void BM_BatchCoverCheck(benchmark::State& state) {
-  CoverCheckFixture f(static_cast<int>(state.range(0)));
-  std::vector<int> conn_cover(kCoverGuards), comp_cover(kCoverGuards);
-  for (auto _ : state) {
-    kernels::AndPopcountRows(f.conn.word_data(), f.matrix, f.ids.data(),
-                             kCoverGuards, conn_cover.data());
-    kernels::AndPopcountRows(f.comp.word_data(), f.matrix, f.ids.data(),
-                             kCoverGuards, comp_cover.data());
-    benchmark::DoNotOptimize(conn_cover.data());
-    benchmark::DoNotOptimize(comp_cover.data());
-  }
-}
-BENCHMARK(BM_BatchCoverCheck)->Arg(128)->Arg(256)->Arg(512);
-
-void BM_ScalarCoverCheck(benchmark::State& state) {
-  CoverCheckFixture f(static_cast<int>(state.range(0)));
-  std::vector<int> conn_cover(kCoverGuards), comp_cover(kCoverGuards);
-  for (auto _ : state) {
-    for (int g = 0; g < kCoverGuards; ++g) {
-      conn_cover[g] = f.guards[g].IntersectCount(f.conn);
-      comp_cover[g] = f.guards[g].IntersectCount(f.comp);
-    }
-    benchmark::DoNotOptimize(conn_cover.data());
-    benchmark::DoNotOptimize(comp_cover.data());
-  }
-}
-BENCHMARK(BM_ScalarCoverCheck)->Arg(128)->Arg(256)->Arg(512);
 
 // Canonical fingerprinting cost (hypergraph/canonical.h) on the cycle, the
 // worst suite family: vertex-transitive, so 1-WL refinement alone never
@@ -441,17 +366,4 @@ BENCHMARK(BM_DeltaInvalidate)->Arg(256);
 }  // namespace
 }  // namespace ghd
 
-// Explicit main instead of BENCHMARK_MAIN(): the JSON context must carry the
-// kernel dispatch actually in effect, so tools/perf_smoke.py can refuse to
-// compare numbers from different code paths (it reads
-// context.kernel_dispatch against the reference file's).
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::AddCustomContext(
-      "kernel_dispatch",
-      ghd::kernels::KernelDispatchName(ghd::kernels::SelectedDispatch()));
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

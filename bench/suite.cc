@@ -12,7 +12,6 @@
 #include "gen/circuits.h"
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
-#include "hypergraph/kernels.h"
 #include "obs/obs.h"
 #include "util/thread_pool.h"
 
@@ -41,8 +40,7 @@ std::vector<NamedInstance> StandardSuite(bool full) {
   add("rand_bdeg2_30", RandomBoundedDegreeHypergraph(30, 18, 3, 2, 13));
   // Large-universe family (also committed as data/*.hg): >= 128 and >= 256
   // vertices, so the VertexSet words spill past the inline budget and the
-  // batched SIMD kernels dominate the per-state cost — the sizes where the
-  // avx2/scalar dispatch gap is visible end to end, not just in micro.
+  // per-state cost is set by the heap sets and the CSR walks.
   add("window_160", WindowPathHypergraph(160, 6, 3));
   add("tristrip_64", TriangleStripHypergraph(64));
   add("cycle_256", CycleHypergraph(256));
@@ -157,8 +155,6 @@ void WriteBenchJson(const std::string& bench_name, bool full,
   out << "{\n"
       << "  \"schema_version\": " << kBenchSchemaVersion << ",\n"
       << "  \"bench\": \"" << JsonEscape(bench_name) << "\",\n"
-      << "  \"kernel_dispatch\": \""
-      << kernels::KernelDispatchName(kernels::SelectedDispatch()) << "\",\n"
       << "  \"full\": " << (full ? "true" : "false") << ",\n"
       << "  \"hardware_threads\": " << UsableCpus()
       << ",\n"

@@ -53,10 +53,7 @@ struct BenchRecord {
 /// top-level wall_ms stays closure + decide) and added the "dominated" extra
 /// (guards dropped by closure dominance pruning). Version 5 added the
 /// top-level "kernel_dispatch" field: the batch-kernel implementation
-/// ("avx2" or "scalar", hypergraph/kernels.h) the run executed with.
-/// Numbers from different dispatches are different code paths — comparison
-/// tooling must check this field first (tools/perf_smoke.py refuses
-/// cross-dispatch comparisons loudly).
+/// ("avx2" or "scalar") the run executed with.
 /// Version 6 added per-record wall-time percentiles over the harness's
 /// repeat loop ("wall_ms_p50" / "wall_ms_p99" extras; the suite harness's
 /// top-level wall_ms is the p50, bip_tractable's stays the per-seed mean)
@@ -77,7 +74,9 @@ struct BenchRecord {
 /// `taskset -c 1` records 1. Every search runs on one thread, so the suite
 /// harness's per-instance records all carry threads = 1; only its
 /// "_suite_fanout" records time whole requests on several threads.
-inline constexpr int kBenchSchemaVersion = 9;
+/// Version 10 dropped the top-level "kernel_dispatch" field: the library no
+/// longer has batch kernels to dispatch between.
+inline constexpr int kBenchSchemaVersion = 10;
 
 /// q-th percentile (0 < q <= 1) of `samples` by the nearest-rank method;
 /// 0 when empty. Backs the v6 per-record wall-time percentiles.

@@ -1,12 +1,13 @@
 #include "core/bip.h"
 
+#include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "hypergraph/flat_hypergraph.h"
-#include "hypergraph/kernels.h"
 #include "obs/obs.h"
 #include "util/check.h"
 #include "util/set_interner.h"
@@ -43,24 +44,36 @@ void EnumerateParent(const Hypergraph& h, int e, int max_arity,
   const VertexSet& edge = h.edge(e);
   // Distinct nonempty atoms in first-seen (f ascending) order. Atoms equal
   // to e itself are dropped: any union containing one equals e and is never
-  // a proper subedge. The e∩f sweep runs over the flat edge_bits matrix —
-  // one contiguous strip of rows, AND + emptiness/identity checks on raw
-  // words, and a VertexSet materialized only for the surviving atoms.
+  // a proper subedge. Only the edges the vertex CSR lists for e's vertices
+  // can meet e; each e∩f is a merge of two sorted CSR rows, and a VertexSet
+  // is materialized only for the surviving atoms.
   std::vector<VertexSet> atoms;
   {
-    const BitMatrix& edge_bits = h.Flat().edge_bits();
-    const uint64_t* row_e = edge_bits.row(e);
-    const int words = edge_bits.logical_words();
-    std::vector<uint64_t> cut(edge_bits.stride_words(), 0);
+    const FlatHypergraph& flat = h.Flat();
+    const std::vector<int32_t>& eoff = flat.edge_offsets();
+    const std::vector<int32_t>& everts = flat.edge_vertices();
+    const std::vector<int32_t>& voff = flat.vertex_offsets();
+    const std::vector<int32_t>& vedges = flat.vertex_edges();
+    const int32_t* e_begin = everts.data() + eoff[e];
+    const int32_t* e_end = everts.data() + eoff[e + 1];
+    std::vector<int32_t> meeting;
+    for (const int32_t* v = e_begin; v != e_end; ++v) {
+      meeting.insert(meeting.end(), vedges.begin() + voff[*v],
+                     vedges.begin() + voff[*v + 1]);
+    }
+    std::sort(meeting.begin(), meeting.end());
+    meeting.erase(std::unique(meeting.begin(), meeting.end()), meeting.end());
+    std::vector<int32_t> cut;
     std::unordered_set<VertexSet, VertexSetHash> seen;
-    for (int f = 0; f < h.num_edges(); ++f) {
+    for (const int32_t f : meeting) {
       if (f == e) continue;
-      kernels::AndInto(cut.data(), row_e, edge_bits.row(f), words);
-      if (kernels::IsEmpty(cut.data(), words) ||
-          kernels::Equal(cut.data(), row_e, words)) {
-        continue;
-      }
-      VertexSet a = VertexSet::FromWords(h.num_vertices(), cut.data());
+      cut.clear();
+      std::set_intersection(e_begin, e_end, everts.begin() + eoff[f],
+                            everts.begin() + eoff[f + 1],
+                            std::back_inserter(cut));
+      if (cut.size() == static_cast<size_t>(e_end - e_begin)) continue;
+      VertexSet a(h.num_vertices());
+      for (const int32_t v : cut) a.Set(v);
       if (seen.insert(a).second) atoms.push_back(std::move(a));
     }
   }

@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "hypergraph/flat_hypergraph.h"
-#include "hypergraph/kernels.h"
 #include "obs/obs.h"
 #include "setcover/set_cover.h"
 #include "td/treewidth_dp.h"
@@ -44,11 +42,11 @@ std::optional<int> GhwBySubsetDp(const Hypergraph& h, Budget* budget) {
     }
     GHD_COUNT(kCoverCacheMisses);
     // Only edges meeting the bag can appear in a minimum cover (a disjoint
-    // edge covers nothing of it), so the candidate list shrinks to the flat
-    // incidence-union — word-parallel — without changing the optimum. Every
+    // edge covers nothing of it), so the candidate list shrinks to the edges
+    // the vertex CSR lists for the bag, without changing the optimum. Every
     // bag vertex is in `covered`, so feasibility is preserved too.
     std::vector<VertexSet> candidates;
-    kernels::FlatEdgesIntersecting(h.Flat(), bag).ForEach([&](int e) {
+    h.EdgesIntersecting(bag).ForEach([&](int e) {
       candidates.push_back(h.edge(e));
     });
     auto size = ExactSetCoverSize(bag, candidates);

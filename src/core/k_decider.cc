@@ -10,7 +10,6 @@
 
 #include "core/cover_index.h"
 #include "hypergraph/flat_hypergraph.h"
-#include "hypergraph/kernels.h"
 #include "obs/obs.h"
 #include "util/check.h"
 #include "util/hash_mix.h"
@@ -144,6 +143,15 @@ struct ConnRows {
   const uint64_t* Guard(size_t i) const { return data.data() + i * words; }
   const uint64_t* Suffix(size_t i) const {
     return data.data() + (count + std::min(i, count)) * words;
+  }
+  // Whether suffix row i covers `left` (a set over the members).
+  bool SuffixCovers(size_t i, const VertexSet& left) const {
+    const uint64_t* a = left.word_data();
+    const uint64_t* b = Suffix(i);
+    for (int w = 0; w < words; ++w) {
+      if ((a[w] & ~b[w]) != 0) return false;
+    }
+    return true;
   }
 
   int members = 0;
@@ -339,9 +347,8 @@ struct Decider {
   // they share a vertex outside chi. A BFS over the CSRs in which each open
   // vertex is expanded once; by the state invariant all its incident edges
   // lie in the component, so the walk stays inside it. Seeds are taken in
-  // ascending edge id, so parts come in ascending order of their least edge
-  // (the order of kernels::FlatSplitComponents), each with its connector
-  // V(part) ∩ chi.
+  // ascending edge id, so parts come in ascending order of their least edge,
+  // each with its connector V(part) ∩ chi.
   void SplitComponents(const VertexSet& rem, const VertexSet& chi) {
     const std::vector<int32_t>& eoff = flat->edge_offsets();
     const std::vector<int32_t>& everts = flat->edge_vertices();
@@ -483,8 +490,7 @@ struct Decider {
       Level& level = f.levels[d];
       switch (f.phase) {
         case Phase::kEnter:
-          if (!kernels::IsSubset(level.left.word_data(),
-                                 f.rows.Suffix(level.next), f.rows.words) ||
+          if (!f.rows.SuffixCovers(level.next, level.left) ||
               !Tick()) {  // the tick bounds the subset enumeration itself
             if (Unwind(f)) return Step::kFalse;
             break;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "hypergraph/flat_hypergraph.h"
-#include "hypergraph/kernels.h"
 #include "obs/obs.h"
 #include "util/check.h"
 #include "util/set_interner.h"
@@ -107,6 +106,34 @@ Result<Hypergraph> KFoldUnionHypergraph(const Hypergraph& h, int k,
                     std::move(unions));
 }
 
+namespace internal {
+
+int FirstBagOutsideEdges(const Hypergraph& g,
+                         const std::vector<VertexSet>& bags) {
+  const FlatHypergraph& flat = g.Flat();
+  const std::vector<int32_t>& voff = flat.vertex_offsets();
+  const std::vector<int32_t>& vedges = flat.vertex_edges();
+  for (size_t b = 0; b < bags.size(); ++b) {
+    const VertexSet& bag = bags[b];
+    bool fits;
+    if (bag.Empty()) {
+      fits = g.num_edges() > 0;
+    } else {
+      // A G-edge containing the bag holds its first vertex, so only the
+      // edges the vertex CSR lists for that vertex are candidates.
+      const int v = bag.First();
+      fits = false;
+      for (int32_t i = voff[v]; i < voff[v + 1] && !fits; ++i) {
+        fits = bag.IsSubsetOf(g.edge(vedges[i]));
+      }
+    }
+    if (!fits) return static_cast<int>(b);
+  }
+  return -1;
+}
+
+}  // namespace internal
+
 TreeProjectionResult TreeProjectionExists(const Hypergraph& h,
                                           const Hypergraph& g,
                                           const KDeciderOptions& options) {
@@ -131,29 +158,18 @@ TreeProjectionResult TreeProjectionExists(const Hypergraph& h,
       return result;
     }
     // Every bag must fit inside some G-edge (the sandwich condition). A
-    // G-edge contains the bag iff it contains every bag vertex, so the
-    // candidates are the intersection of G's incidence_bits rows — no
-    // rescan of all edges per bag. A violation is an engine bug (the
-    // decider constructs bags as subsets of single guards); report it as
-    // undecided-with-diagnostic rather than aborting the process.
-    const BitMatrix& incidence = g.Flat().incidence_bits();
-    const int words = incidence.logical_words();
-    std::vector<uint64_t> candidates(words);
-    for (size_t b = 0; b < result.witness.bags.size(); ++b) {
-      const VertexSet& bag = result.witness.bags[b];
-      std::fill(candidates.begin(), candidates.end(), ~uint64_t{0});
-      bag.ForEach([&](int v) {
-        kernels::AndAssign(candidates.data(), incidence.row(v), words);
-      });
-      if (kernels::IsEmpty(candidates.data(), words)) {
-        result.decided = false;
-        result.exists = false;
-        result.diagnostic = "sandwich violation: bag " + std::to_string(b) +
-                            " (" + std::to_string(bag.Count()) +
-                            " vertices) fits in no G-edge";
-        result.witness = TreeDecomposition{};
-        return result;
-      }
+    // violation is an engine bug (the decider constructs bags as subsets of
+    // single guards); report it as undecided-with-diagnostic rather than
+    // aborting the process.
+    const int b = internal::FirstBagOutsideEdges(g, result.witness.bags);
+    if (b >= 0) {
+      result.decided = false;
+      result.exists = false;
+      result.diagnostic = "sandwich violation: bag " + std::to_string(b) +
+                          " (" +
+                          std::to_string(result.witness.bags[b].Count()) +
+                          " vertices) fits in no G-edge";
+      result.witness = TreeDecomposition{};
     }
   }
   return result;

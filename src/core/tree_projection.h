@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "core/k_decider.h"
 #include "hypergraph/hypergraph.h"
@@ -53,8 +54,8 @@ struct TreeProjectionResult {
 
 /// Decides cover-normal-form TP(H, G) via the width-1 guard search over G's
 /// edges (bags of the form g ∩ V(component)). Sound: positive answers carry a
-/// validated witness — every bag is checked to fit inside a G-edge against
-/// G's per-vertex incidence index; a violation (an engine bug, not an input
+/// validated witness — every bag is checked to fit inside a G-edge
+/// (internal::FirstBagOutsideEdges); a violation (an engine bug, not an input
 /// error) comes back decided=false with a diagnostic instead of aborting.
 /// Complete when G's edges are subedge-closed.
 TreeProjectionResult TreeProjectionExists(const Hypergraph& h,
@@ -68,6 +69,17 @@ TreeProjectionResult TreeProjectionExists(const Hypergraph& h,
 TreeProjectionResult GhwAtMostViaTreeProjection(
     const Hypergraph& h, int k, size_t max_kfold_edges = 200000,
     const KDeciderOptions& options = {});
+
+namespace internal {
+
+/// The sandwich check of TreeProjectionExists, exposed for tests: the index
+/// of the first bag that no edge of `g` contains, or -1 when every bag fits.
+/// Bags are over g's vertex universe. Only the G-edges holding a bag's first
+/// vertex are tested; an empty bag fits iff g has an edge.
+int FirstBagOutsideEdges(const Hypergraph& g,
+                         const std::vector<VertexSet>& bags);
+
+}  // namespace internal
 
 }  // namespace ghd
 

@@ -1,30 +1,50 @@
 #include "hypergraph/components.h"
 
+#include <algorithm>
 #include <string>
+
+#include "hypergraph/flat_hypergraph.h"
 
 namespace ghd {
 
 std::vector<std::vector<int>> ConnectedEdgeComponents(const Hypergraph& h) {
   const int m = h.num_edges();
-  // Word-parallel BFS over edge-id bitsets: expanding an edge intersects its
-  // incidence union against the unseen set, whole words at a time.
-  VertexSet unseen = VertexSet::Full(m);
+  const FlatHypergraph& flat = h.Flat();
+  const std::vector<int32_t>& eoff = flat.edge_offsets();
+  const std::vector<int32_t>& everts = flat.edge_vertices();
+  const std::vector<int32_t>& voff = flat.vertex_offsets();
+  const std::vector<int32_t>& vedges = flat.vertex_edges();
+  // Depth-first over the two CSRs: an edge reaches the edges of its
+  // vertices. The edges an expansion newly reaches are pushed in ascending
+  // id, so a group's order depends on the edge ids alone, not on how the
+  // CSR lists them.
+  std::vector<char> seen(m, 0);
   std::vector<std::vector<int>> components;
   std::vector<int> stack;
+  std::vector<int> fresh;
   for (int start = 0; start < m; ++start) {
-    if (!unseen.Test(start)) continue;
+    if (seen[start]) continue;
     components.emplace_back();
     std::vector<int>& group = components.back();
-    unseen.Reset(start);
+    seen[start] = 1;
     stack.assign(1, start);
     while (!stack.empty()) {
       const int e = stack.back();
       stack.pop_back();
       group.push_back(e);
-      VertexSet adj = h.EdgesIntersecting(h.edge(e));
-      adj &= unseen;
-      unseen -= adj;
-      adj.ForEach([&](int f) { stack.push_back(f); });
+      fresh.clear();
+      for (int32_t i = eoff[e]; i < eoff[e + 1]; ++i) {
+        const int32_t v = everts[i];
+        for (int32_t j = voff[v]; j < voff[v + 1]; ++j) {
+          const int f = vedges[j];
+          if (!seen[f]) {
+            seen[f] = 1;
+            fresh.push_back(f);
+          }
+        }
+      }
+      std::sort(fresh.begin(), fresh.end());
+      stack.insert(stack.end(), fresh.begin(), fresh.end());
     }
   }
   return components;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "hypergraph/flat_hypergraph.h"
-#include "hypergraph/kernels.h"
 #include "util/check.h"
 
 namespace ghd {
@@ -27,12 +26,14 @@ int Hypergraph::VertexIdOf(const std::string& name) const {
   return it == vertex_ids_.end() ? -1 : it->second;
 }
 
-VertexSet Hypergraph::UnionOfEdges(const std::vector<int>& edge_ids) const {
-  return kernels::FlatUnionOfEdges(*flat_, edge_ids);
-}
-
 VertexSet Hypergraph::EdgesIntersecting(const VertexSet& vs) const {
-  return kernels::FlatEdgesIntersecting(*flat_, vs);
+  const std::vector<int32_t>& voff = flat_->vertex_offsets();
+  const std::vector<int32_t>& vedges = flat_->vertex_edges();
+  VertexSet out(num_edges());
+  vs.ForEach([&](int v) {
+    for (int32_t i = voff[v]; i < voff[v + 1]; ++i) out.Set(vedges[i]);
+  });
+  return out;
 }
 
 VertexSet Hypergraph::CoveredVertices() const {
@@ -45,30 +46,6 @@ Graph Hypergraph::PrimalGraph() const {
   Graph g(num_vertices());
   for (const VertexSet& e : edges_) g.MakeClique(e);
   return g;
-}
-
-Graph Hypergraph::DualGraph() const {
-  Graph g(num_edges());
-  for (int a = 0; a < num_edges(); ++a) {
-    for (int b = a + 1; b < num_edges(); ++b) {
-      if (edges_[a].Intersects(edges_[b])) g.AddEdge(a, b);
-    }
-  }
-  return g;
-}
-
-Hypergraph Hypergraph::InducedOn(const VertexSet& keep) const {
-  std::vector<std::string> enames;
-  std::vector<VertexSet> es;
-  for (int e = 0; e < num_edges(); ++e) {
-    VertexSet cut = edges_[e];
-    cut &= keep;
-    if (!cut.Empty()) {
-      enames.push_back(edge_names_[e]);
-      es.push_back(std::move(cut));
-    }
-  }
-  return Hypergraph(vertex_names_, std::move(enames), std::move(es));
 }
 
 int Hypergraph::Rank() const {

@@ -36,25 +36,15 @@ class Hypergraph {
   const VertexSet& edge(int e) const { return edges_[e]; }
   const std::vector<VertexSet>& edges() const { return edges_; }
 
-  /// Ids of all edges containing at least one vertex of `vs` (a union of
-  /// incidence bitsets, whole words at a time).
+  /// Ids of all edges containing at least one vertex of `vs`, read from the
+  /// vertex CSR: O(|vs| + the incidences of vs), plus the m-bit result.
   VertexSet EdgesIntersecting(const VertexSet& vs) const;
-
-  /// Union of the vertex sets of the edges listed in `edge_ids`.
-  VertexSet UnionOfEdges(const std::vector<int>& edge_ids) const;
 
   /// Vertices that occur in at least one edge.
   VertexSet CoveredVertices() const;
 
   /// Gaifman / primal graph: vertices adjacent iff they co-occur in an edge.
   Graph PrimalGraph() const;
-
-  /// Dual graph: one vertex per hyperedge, adjacent iff the edges intersect.
-  Graph DualGraph() const;
-
-  /// Sub-hypergraph induced by `keep`: every edge is intersected with `keep`,
-  /// empty results are dropped. Vertex ids are preserved (same universe).
-  Hypergraph InducedOn(const VertexSet& keep) const;
 
   /// Maximum edge cardinality (rank).
   int Rank() const;
@@ -64,10 +54,10 @@ class Hypergraph {
   /// True when the primal graph restricted to covered vertices is connected.
   bool IsConnected() const;
 
-  /// The flat CSR + bitset-matrix view (hypergraph/flat_hypergraph.h),
-  /// built eagerly at construction and shared by copies — the engines and
-  /// the batch kernels read it on every hot-path step. It holds the only
-  /// per-vertex incidence (vertex_offsets/vertex_edges, incidence_bits).
+  /// The flat CSR view (hypergraph/flat_hypergraph.h), built eagerly at
+  /// construction and shared by copies — the engines read it on every
+  /// hot-path step. It holds the only per-vertex incidence
+  /// (vertex_offsets/vertex_edges).
   const FlatHypergraph& Flat() const { return *flat_; }
 
  private:
@@ -76,7 +66,7 @@ class Hypergraph {
   std::vector<VertexSet> edges_;
   std::unordered_map<std::string, int> vertex_ids_;
   // shared_ptr, not value: copies of an immutable Hypergraph share one flat
-  // view instead of rebuilding the matrices.
+  // view instead of rebuilding the CSRs.
   std::shared_ptr<const FlatHypergraph> flat_;
 };
 

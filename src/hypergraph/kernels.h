@@ -1,148 +1,25 @@
-// Batched, word-parallel kernels over the FlatHypergraph view.
-//
-// Two layers live here:
-//
-//  1. Raw word kernels (OrInto, AndPopcount, UnionRows, ...) operating on
-//     `uint64_t` arrays — BitMatrix rows or VertexSet::word_data(). The
-//     bandwidth-bound ones carry both a portable scalar implementation and an
-//     AVX2 implementation compiled
-//     with a function-level `target("avx2")` attribute (no global -mavx2);
-//     which one runs is decided once at startup by a cpuid check, overridable
-//     by GHD_FORCE_SCALAR=1 in the environment or ForceScalarKernels(true)
-//     (the CLI's --no-simd). Both implementations are bit-identical by
-//     construction: they compute the same ANDs/ORs/popcounts, only wider.
-//
-//  2. Flat algorithms (FlatSplitComponents, FlatEdgesIntersecting,
-//     FlatUnionOfEdges, FlatVerticesOf) — ports of the three hottest solver
-//     loops onto the CSR arrays and bitset matrices, returning exactly the
-//     same VertexSets in exactly the same order as the pointer-chasing
-//     scalar paths they replace (pinned by tests/flat_hypergraph_test.cc).
-//
-// The batched dispatchers are also width-gated: narrow rows run the plain
-// word loops even under the AVX2 dispatch (unions below 3 logical words,
-// popcount scoring below 2), because a one-lane row is mostly padding and
-// the nibble-LUT popcount loses to a hardware popcnt at those sizes —
-// measured on the standard suite, where ungated AVX2 cost 15-25%
-// end-to-end. The gate changes which implementation runs, never the bits
-// it computes.
-//
-// Observability: kernel_batches counts 4-row groups streamed by the batched
-// kernels; kernel_scalar_fallbacks counts batched calls served by the
-// portable path (no AVX2, forced scalar, or rows below the width gate).
-// flat_build_ns is recorded by FlatHypergraph itself.
+// Host-ISA report kept for the perfbench driver, which stamps it into its
+// run metadata. No library code dispatches on it: every incidence walk is a
+// plain CSR or word loop (hypergraph/flat_hypergraph.h).
 #ifndef GHD_HYPERGRAPH_KERNELS_H_
 #define GHD_HYPERGRAPH_KERNELS_H_
-
-#include <cstdint>
-#include <vector>
-
-#include "hypergraph/flat_hypergraph.h"
-#include "util/bitset.h"
 
 namespace ghd {
 namespace kernels {
 
-/// Which implementation the batched kernels run. Selected once at startup
-/// (cpuid + GHD_FORCE_SCALAR env), sticky until ForceScalarKernels changes
-/// it. kAvx2 and kScalar produce bit-identical results.
-enum class KernelDispatch : int {
-  kScalar = 0,  // portable uint64_t loops
-  kAvx2 = 1,    // 256-bit lanes, 4 words per step
-};
+enum class KernelDispatch : int { kScalar = 0, kAvx2 = 1 };
 
-/// Stable lowercase name ("scalar" / "avx2") — stamped into RunReports,
-/// BENCH_*.json, and the micro-benchmark context for the perf-smoke gate.
-const char* KernelDispatchName(KernelDispatch d);
+inline const char* KernelDispatchName(KernelDispatch d) {
+  return d == KernelDispatch::kAvx2 ? "avx2" : "scalar";
+}
 
-/// The dispatch currently in effect (cached; first call reads cpuid and the
-/// GHD_FORCE_SCALAR environment variable).
-KernelDispatch SelectedDispatch();
-
-/// What the hardware supports, ignoring every override. kAvx2 only when the
-/// build target and the running CPU both have AVX2.
-KernelDispatch HardwareDispatch();
-
-/// Pins (true) or unpins (false) the portable scalar kernels at run time.
-/// Unpinning restores the hardware choice unless GHD_FORCE_SCALAR=1 is set.
-/// Used by ghd_cli --no-simd and the differential tests; not intended to be
-/// toggled mid-solve (results are identical either way, but counters would
-/// attribute batches to both modes).
-void ForceScalarKernels(bool force);
-
-// ---------------------------------------------------------------------------
-// Raw word kernels. `words` counts 64-bit words; buffers may overlap only
-// where a parameter is both source and destination (dst-style kernels).
-// ---------------------------------------------------------------------------
-
-/// dst |= src.
-void OrInto(uint64_t* dst, const uint64_t* src, int words);
-/// dst &= src.
-void AndAssign(uint64_t* dst, const uint64_t* src, int words);
-/// dst &= ~src.
-void AndNotAssign(uint64_t* dst, const uint64_t* src, int words);
-/// dst = a & b.
-void AndInto(uint64_t* dst, const uint64_t* a, const uint64_t* b, int words);
-/// a subset of b (a & ~b == 0)?
-bool IsSubset(const uint64_t* a, const uint64_t* b, int words);
-bool IsEmpty(const uint64_t* row, int words);
-bool Equal(const uint64_t* a, const uint64_t* b, int words);
-int Popcount(const uint64_t* row, int words);
-/// |a & b|.
-int AndPopcount(const uint64_t* a, const uint64_t* b, int words);
-
-// ---------------------------------------------------------------------------
-// Batched matrix kernels. Rows are addressed as base + id * stride; the
-// batched implementations stream 4 rows per iteration (one kernel_batches
-// tick per group) so independent accumulator chains hide the load latency
-// that the one-VertexSet-at-a-time paths serialize.
-// ---------------------------------------------------------------------------
-
-/// dst |= m.row(id) for each id in ids. `dst` must hold m.stride_words()
-/// words (operates on full padded rows).
-void UnionRowsInto(uint64_t* dst, const BitMatrix& m, const int32_t* ids,
-                   int count);
-
-/// out[i] = |probe & m.row(ids[i])| for each id. `probe` must hold at least
-/// m.logical_words() words (VertexSet::word_data() over the row universe).
-/// The λ-cover scoring primitive: one probe set against a strip of guard
-/// rows.
-void AndPopcountRows(const uint64_t* probe, const BitMatrix& m,
-                     const int32_t* ids, int count, int* out);
-
-/// Union of m.row(i) for every i in `selector` (a bitset over the row index
-/// space), returned as a VertexSet over m.universe(). The shared shape of
-/// "edges intersecting", "vertices of a component", and "guards touching".
-VertexSet UnionRows(const BitMatrix& m, const VertexSet& selector);
-
-// ---------------------------------------------------------------------------
-// Flat algorithm ports. Each is the drop-in replacement for a scalar loop in
-// the engines and returns bit-identical results in identical order.
-// ---------------------------------------------------------------------------
-
-/// Ids of all edges containing at least one vertex of `vs` (universe
-/// num_vertices). Port of Hypergraph::EdgesIntersecting: unions the
-/// incidence_bits rows of the members of `vs`.
-VertexSet FlatEdgesIntersecting(const FlatHypergraph& flat,
-                                const VertexSet& vs);
-
-/// Union of the vertex sets of the listed edges (rows of edge_bits).
-VertexSet FlatUnionOfEdges(const FlatHypergraph& flat,
-                           const std::vector<int>& edge_ids);
-
-/// Union of the vertex sets of the edges in `edge_set` (a bitset over
-/// {0, ..., num_edges-1}).
-VertexSet FlatVerticesOf(const FlatHypergraph& flat, const VertexSet& edge_set);
-
-/// Splits the edges in `edges_left` into [chi]-connected components: edges
-/// are adjacent when they share a vertex outside `chi`. Components are
-/// emitted in ascending order of their minimum edge id, each as a bitset
-/// over {0, ..., num_edges-1}; an edge fully inside `chi` forms a singleton
-/// component (it still hangs off the separator). Port of the k-decider's
-/// SplitComponents BFS onto the CSR incidence arrays + incidence_bits
-/// matrix.
-std::vector<VertexSet> FlatSplitComponents(const FlatHypergraph& flat,
-                                           const VertexSet& edges_left,
-                                           const VertexSet& chi);
+/// kAvx2 when the running CPU reports AVX2 (cpuid), else kScalar.
+inline KernelDispatch SelectedDispatch() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) return KernelDispatch::kAvx2;
+#endif
+  return KernelDispatch::kScalar;
+}
 
 }  // namespace kernels
 }  // namespace ghd

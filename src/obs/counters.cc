@@ -46,8 +46,6 @@ const char* const kCounterNames[kNumCounters] = {
     "separator_neg_hits",
     "separator_neg_inserts",
     "flat_build_ns",
-    "kernel_batches",
-    "kernel_scalar_fallbacks",
     "trace_spans_dropped",
     "canon_nodes",
     "canon_fallbacks",

@@ -78,10 +78,8 @@ enum class Counter : int {
   // Cover-candidate index + negative-separator cache (core/cover_index).
   kSeparatorNegHits,    // guard choices skipped: (component, chi) known to fail
   kSeparatorNegInserts, // proven-failed (component, chi) pairs recorded
-  // Flat CSR view + batch kernels (hypergraph/flat_hypergraph, kernels).
+  // Flat CSR view (hypergraph/flat_hypergraph).
   kFlatBuildNs,         // nanoseconds spent building FlatHypergraph views
-  kKernelBatches,       // 4-row batches processed by the word-parallel kernels
-  kKernelScalarFallbacks, // batched kernel calls served by the scalar path
   // Tracer (obs/trace): spans silently overwritten in the bounded per-thread
   // rings, so ring overflow is visible in RunReport, not just in the trace
   // viewer's "(+N dropped)" lane suffix.

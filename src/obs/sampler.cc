@@ -162,8 +162,6 @@ void Sampler::EmitLineLocked(const MetricsSample& sample,
   AppendFixed(&line, sample.Rate(Counter::kGovernorTicks));
   line += ",\"memo_inserts_per_sec\":";
   AppendFixed(&line, sample.Rate(Counter::kDeciderMemoInserts));
-  line += ",\"kernel_batches_per_sec\":";
-  AppendFixed(&line, sample.Rate(Counter::kKernelBatches));
   line += ",\"resident_kb\":" + std::to_string(sample.resident_kb);
 
   const Budget* budget = options_.budget;

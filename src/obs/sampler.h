@@ -3,7 +3,7 @@
 //
 //  * the metrics ring — a bounded ring of timestamped counter deltas, turning
 //    the monotonic totals of obs/counters.h into rate-of-change time-series
-//    (memo inserts/sec, governor ticks/sec, kernel batches/sec) plus resident
+//    (memo inserts/sec, governor ticks/sec) plus resident
 //    memory read from /proc/self/statm. Always kept, at a fixed capacity of
 //    kRingCapacity frames; once full, the oldest frame is overwritten and
 //    `samples_dropped()` counts the loss — the same honesty contract as the
@@ -18,9 +18,9 @@
 //   {"type":"heartbeat","seq":N,"at_seconds":T,"phase":"...","rung":"...",
 //    "lb":L,"ub":U,"k":K,"frontier_depth":D,"memo_states":M,
 //    "interner_sets":I,"ticks":N,"ticks_per_sec":R,
-//    "memo_inserts_per_sec":R,"kernel_batches_per_sec":R,
-//    "resident_kb":N,"bytes_charged":N,"deadline_fraction":F,
-//    "tick_fraction":F,"memory_fraction":F,"stop_reason":"...","final":B}
+//    "memo_inserts_per_sec":R,"resident_kb":N,"bytes_charged":N,
+//    "deadline_fraction":F,"tick_fraction":F,"memory_fraction":F,
+//    "stop_reason":"...","final":B}
 // Board slots never published this run render as -1; budget fractions render
 // as -1 when that limit is unset.
 //

@@ -30,18 +30,6 @@ VertexSet VertexSet::FromWord(int universe_size, uint64_t word0) {
   return s;
 }
 
-VertexSet VertexSet::FromWords(int universe_size, const uint64_t* words) {
-  VertexSet s(universe_size);
-  if (s.num_words_ > 0) {
-    std::memcpy(s.words(), words, sizeof(uint64_t) * s.num_words_);
-    if (universe_size & 63) {
-      GHD_DCHECK((words[s.num_words_ - 1] >>
-                  (universe_size & 63)) == 0);
-    }
-  }
-  return s;
-}
-
 int VertexSet::Count() const {
   const uint64_t* w = words();
   int c = 0;

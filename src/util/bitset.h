@@ -122,11 +122,6 @@ class VertexSet {
   /// Set whose first (at most 64) elements come from the bits of `word0`.
   /// Bits at or above `universe_size` must be zero (checked).
   static VertexSet FromWord(int universe_size, uint64_t word0);
-  /// Set over `universe_size` whose words are copied from `words`
-  /// ((universe_size + 63) / 64 of them). Bits at or above `universe_size`
-  /// must be zero — rows of a kernels::BitMatrix satisfy this by
-  /// construction. The word-array twin of FromWord for the flat CSR kernels.
-  static VertexSet FromWords(int universe_size, const uint64_t* words);
 
   int universe_size() const { return size_; }
 
@@ -165,7 +160,7 @@ class VertexSet {
   /// Set difference: removes all elements of `o`.
   VertexSet& operator-=(const VertexSet& o);
   /// Set difference with a raw row of word_count() words over the same
-  /// universe (a BitMatrix row, say), without building a set from it.
+  /// universe, without building a set from it.
   VertexSet& SubtractWords(const uint64_t* row);
 
   friend VertexSet operator|(VertexSet a, const VertexSet& b) { return a |= b; }
@@ -199,7 +194,7 @@ class VertexSet {
   /// Renders "{a, b, c}" for debugging.
   std::string ToString() const;
 
-  /// Raw word view for the flat CSR/SIMD kernels (hypergraph/kernels.h):
+  /// Raw word view for word loops over several sets:
   /// (universe_size + 63) / 64 little-endian 64-bit words, unused high bits
   /// zero. The pointer is into this object — it is invalidated by assignment
   /// and destruction, exactly like a std::vector::data() view.
@@ -224,7 +219,7 @@ class VertexSet {
   /// loops paid one hash-cache invalidation instead of one per Set(); the
   /// cache has since moved out of the value entirely, and the builder remains
   /// as the idiomatic way to spell "construct by accumulation" on hot paths
-  /// like Hypergraph::UnionOfEdges. Defined below the class.
+  /// like the closure's candidate unions. Defined below the class.
   class Builder;
 
  private:

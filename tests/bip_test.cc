@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include "core/bip.h"
 #include "core/ghw_exact.h"
@@ -8,6 +11,7 @@
 #include "gtest/gtest.h"
 #include "hypergraph/hypergraph_builder.h"
 #include "hypergraph/stats.h"
+#include "test_instances.h"
 
 namespace ghd {
 namespace {
@@ -40,6 +44,60 @@ TEST(SubedgeClosureTest, NoDuplicateGuards) {
     for (int b = a + 1; b < f.size(); ++b) {
       EXPECT_NE(f.guards[a], f.guards[b]) << a << " vs " << b;
     }
+  }
+}
+
+// At union arity 1 without pruning, the closure is the original edges, then
+// each parent e's distinct atoms e ∩ f (nonempty, not e itself) in ascending
+// partner f, kept on first occurrence. Built here from the edges' VertexSets
+// by a full pairwise sweep; the library gathers the partners from the vertex
+// CSR and merges sorted rows, and must give the same family in the same
+// order with the same probe count.
+TEST(SubedgeClosureTest, ArityOneMatchesPairwiseSweep) {
+  std::vector<Hypergraph> instances = {AdderHypergraph(3),
+                                       TriangleStripHypergraph(6)};
+  {
+    // Nested edges: a ⊂ b and a duplicate of b, so some e ∩ f equal e.
+    HypergraphBuilder b;
+    b.AddEdge("a", {"x", "y"});
+    b.AddEdge("b", {"x", "y", "z"});
+    b.AddEdge("c", {"z", "w", "x"});
+    b.AddEdge("d", {"x", "y", "z"});
+    instances.push_back(std::move(b).Build());
+  }
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    instances.push_back(MixedArityHypergraph(40, 30, 6, seed));
+    instances.push_back(RandomUniformHypergraph(130, 60, 5, seed));
+  }
+  for (size_t i = 0; i < instances.size(); ++i) {
+    const Hypergraph& h = instances[i];
+    GuardFamily want = OriginalEdgesFamily(h);
+    std::unordered_set<VertexSet, VertexSetHash> in_family(
+        h.edges().begin(), h.edges().end());
+    long probed = 0;
+    for (int e = 0; e < h.num_edges(); ++e) {
+      std::unordered_set<VertexSet, VertexSetHash> atoms;
+      for (int f = 0; f < h.num_edges(); ++f) {
+        if (f == e) continue;
+        const VertexSet cut = h.edge(e) & h.edge(f);
+        if (cut.Empty() || cut == h.edge(e) || !atoms.insert(cut).second) {
+          continue;
+        }
+        ++probed;
+        if (in_family.insert(cut).second) {
+          want.guards.push_back(cut);
+          want.parent_edge.push_back(e);
+        }
+      }
+    }
+    SubedgeClosureOptions options;
+    options.max_union_arity = 1;
+    options.prune_dominated = false;
+    const SubedgeClosureResult got = BipSubedgeClosure(h, options);
+    EXPECT_TRUE(got.complete()) << "instance " << i;
+    EXPECT_EQ(got.family.guards, want.guards) << "instance " << i;
+    EXPECT_EQ(got.family.parent_edge, want.parent_edge) << "instance " << i;
+    EXPECT_EQ(got.candidates_probed, probed) << "instance " << i;
   }
 }
 

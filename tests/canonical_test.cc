@@ -5,8 +5,8 @@
 //
 // The library search is also compared with a reference version kept only
 // here: the search before automorphism backjumping, which prunes by orbits at
-// the root alone and scores the intersection profile on the dense edge_bits
-// matrix. On data/*.hg, on the repeat_batch benchmark catalogue under
+// the root alone and scores the intersection profile on the edges' dense
+// vertex sets. On data/*.hg, on the repeat_batch benchmark catalogue under
 // relabelings and on random instances, wherever the reference finishes
 // within its node budget, the library must return the same key, vertex and
 // edge permutations and canonical flag. Bridges, disjoint unions and
@@ -30,7 +30,6 @@
 #include "hypergraph/flat_hypergraph.h"
 #include "hypergraph/hg_io.h"
 #include "hypergraph/hypergraph_builder.h"
-#include "hypergraph/kernels.h"
 #include "hypergraph/reduce.h"
 #include "test_instances.h"
 #include "util/check.h"
@@ -130,18 +129,14 @@ class RefCanonicalSearch {
       c->vc[v] = SplitMix64(kVertexSeed ^ static_cast<uint64_t>(degree));
     }
     const bool profile = m_ > 0 && m_ <= kMaxProfileEdges;
-    std::vector<int32_t> ids(m_);
-    std::iota(ids.begin(), ids.end(), 0);
-    std::vector<int> counts(m_);
     std::vector<uint64_t> sorted(m_);
     for (int e = 0; e < m_; ++e) {
       const long arity = flat_.edge_offsets()[e + 1] - flat_.edge_offsets()[e];
       uint64_t h = SplitMix64(kEdgeSeed ^ static_cast<uint64_t>(arity));
       if (profile) {
-        kernels::AndPopcountRows(flat_.edge_bits().row(e), flat_.edge_bits(),
-                                 ids.data(), m_, counts.data());
         for (int f = 0; f < m_; ++f) {
-          sorted[f] = static_cast<uint64_t>(counts[f]);
+          sorted[f] =
+              static_cast<uint64_t>(h_.edge(e).IntersectCount(h_.edge(f)));
         }
         std::sort(sorted.begin(), sorted.end());
         h = HashCombine(h, HashValues(sorted.data(), sorted.size(), h));
@@ -252,10 +247,10 @@ class RefCanonicalSearch {
   }
 
   bool VerticesAreTwins(int a, int b) const {
-    const BitMatrix& inc = flat_.incidence_bits();
-    return std::memcmp(inc.row(a), inc.row(b),
-                       sizeof(uint64_t) *
-                           static_cast<size_t>(inc.stride_words())) == 0;
+    const std::vector<int32_t>& vo = flat_.vertex_offsets();
+    const std::vector<int32_t>& ve = flat_.vertex_edges();
+    return std::equal(ve.begin() + vo[a], ve.begin() + vo[a + 1],
+                      ve.begin() + vo[b], ve.begin() + vo[b + 1]);
   }
 
   int Find(int x) {

@@ -14,7 +14,7 @@
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
 #include "hypergraph/hypergraph_builder.h"
-#include "hypergraph/kernels.h"
+#include "split_reference.h"
 #include "test_instances.h"
 #include "util/rng.h"
 
@@ -170,13 +170,13 @@ TEST(CoverIndexTest, PrefixPlusTailEqualsReferenceOrderOnReachableStates) {
         VertexSet comp = VertexSet::Full(h.num_edges());
         // Start at a random root component.
         {
-          const std::vector<VertexSet> roots = kernels::FlatSplitComponents(
-              h.Flat(), comp, VertexSet(h.num_vertices()));
+          const std::vector<VertexSet> roots =
+              ReferenceSplit(h, comp, VertexSet(h.num_vertices()));
           comp = roots[rng.UniformInt(static_cast<int>(roots.size()))];
         }
         VertexSet conn(h.num_vertices());
         for (int depth = 0; depth < 40 && !comp.Empty(); ++depth) {
-          const VertexSet v_comp = kernels::FlatVerticesOf(h.Flat(), comp);
+          const VertexSet v_comp = ReferenceVerticesOf(h, comp);
           index.Open(comp, v_comp, conn, &cursor);
           const std::vector<int> want = ReferenceOrder(family, v_comp, conn);
           EXPECT_EQ(ReadAll(&cursor), want) << "state " << states;
@@ -195,11 +195,10 @@ TEST(CoverIndexTest, PrefixPlusTailEqualsReferenceOrderOnReachableStates) {
           comp.ForEach([&](int e) {
             if (h.edge(e).IsSubsetOf(chi)) rem.Reset(e);
           });
-          const std::vector<VertexSet> parts =
-              kernels::FlatSplitComponents(h.Flat(), rem, chi);
+          const std::vector<VertexSet> parts = ReferenceSplit(h, rem, chi);
           if (parts.empty()) break;
           comp = parts[rng.UniformInt(static_cast<int>(parts.size()))];
-          conn = kernels::FlatVerticesOf(h.Flat(), comp);
+          conn = ReferenceVerticesOf(h, comp);
           conn &= chi;
         }
       }

@@ -1,8 +1,11 @@
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/circuits.h"
 #include "gen/generators.h"
+#include "gen/random_hypergraphs.h"
 #include "gtest/gtest.h"
 #include "hypergraph/components.h"
 #include "hypergraph/flat_hypergraph.h"
@@ -10,6 +13,8 @@
 #include "hypergraph/hypergraph.h"
 #include "hypergraph/hypergraph_builder.h"
 #include "hypergraph/stats.h"
+#include "test_instances.h"
+#include "util/rng.h"
 
 namespace ghd {
 namespace {
@@ -63,26 +68,15 @@ TEST(HypergraphTest, IncidenceLists) {
   EXPECT_EQ(FlatIncidence(h, x1), (std::vector<int>{0, 1}));
   const int x4 = h.VertexIdOf("x4");
   EXPECT_EQ(FlatIncidence(h, x4), (std::vector<int>{2}));
-  // Every vertex's CSR list and incidence_bits row match a reference built
-  // from the per-edge vertex sets.
+  // Every vertex's CSR list matches a reference built from the per-edge
+  // vertex sets.
   for (int v = 0; v < h.num_vertices(); ++v) {
     std::vector<int> want;
-    VertexSet want_bits(h.num_edges());
     for (int e = 0; e < h.num_edges(); ++e) {
-      if (h.edge(e).Test(v)) {
-        want.push_back(e);
-        want_bits.Set(e);
-      }
+      if (h.edge(e).Test(v)) want.push_back(e);
     }
     EXPECT_EQ(FlatIncidence(h, v), want) << "vertex " << v;
-    EXPECT_EQ(h.Flat().incidence_bits().RowAsVertexSet(v), want_bits);
   }
-}
-
-TEST(HypergraphTest, UnionOfEdges) {
-  Hypergraph h = SmallExample();
-  EXPECT_EQ(h.UnionOfEdges({0, 2}).Count(), 5);  // x1,x2,x3,x4,x5
-  EXPECT_EQ(h.UnionOfEdges({}).Count(), 0);
 }
 
 TEST(HypergraphTest, CoveredVertices) {
@@ -99,34 +93,6 @@ TEST(HypergraphTest, PrimalGraph) {
   EXPECT_FALSE(primal.HasEdge(x2, x4));
   // Each 3-edge contributes a triangle; edges overlap in x1,x3,x5.
   EXPECT_EQ(primal.NumEdges(), 9);
-}
-
-TEST(HypergraphTest, DualGraph) {
-  Hypergraph h = SmallExample();
-  Graph dual = h.DualGraph();
-  EXPECT_EQ(dual.num_vertices(), 3);
-  // All pairs of edges intersect.
-  EXPECT_EQ(dual.NumEdges(), 3);
-}
-
-TEST(HypergraphTest, InducedSubhypergraph) {
-  Hypergraph h = SmallExample();
-  VertexSet keep(6);
-  keep.Set(h.VertexIdOf("x1"));
-  keep.Set(h.VertexIdOf("x2"));
-  keep.Set(h.VertexIdOf("x3"));
-  Hypergraph sub = h.InducedOn(keep);
-  EXPECT_EQ(sub.num_edges(), 3);  // every edge intersects the kept set
-  EXPECT_EQ(sub.edge(0).Count(), 3);
-  EXPECT_EQ(sub.edge(1).Count(), 1);  // just x1
-}
-
-TEST(HypergraphTest, InducedDropsEmptyEdges) {
-  Hypergraph h = SmallExample();
-  VertexSet keep(6);
-  keep.Set(h.VertexIdOf("x4"));
-  Hypergraph sub = h.InducedOn(keep);
-  EXPECT_EQ(sub.num_edges(), 1);  // only c3 touches x4
 }
 
 TEST(HypergraphTest, RankAndDegree) {
@@ -281,6 +247,68 @@ TEST(ComponentsTest, SplitsDisjointParts) {
     EXPECT_TRUE(part.IsConnected());
   }
   EXPECT_EQ(total_edges, h.num_edges());
+}
+
+// The component sweep before the CSR BFS: one m-bit set of intersecting
+// edges per popped edge, newly reached edges pushed in ascending id. Kept as
+// the reference for ConnectedEdgeComponents' group contents and order.
+std::vector<std::vector<int>> ReferenceEdgeComponents(const Hypergraph& h) {
+  const int m = h.num_edges();
+  VertexSet unseen = VertexSet::Full(m);
+  std::vector<std::vector<int>> components;
+  std::vector<int> stack;
+  for (int start = 0; start < m; ++start) {
+    if (!unseen.Test(start)) continue;
+    components.emplace_back();
+    std::vector<int>& group = components.back();
+    unseen.Reset(start);
+    stack.assign(1, start);
+    while (!stack.empty()) {
+      const int e = stack.back();
+      stack.pop_back();
+      group.push_back(e);
+      VertexSet adj(m);
+      for (int f = 0; f < m; ++f) {
+        if (h.edge(f).Intersects(h.edge(e))) adj.Set(f);
+      }
+      adj &= unseen;
+      unseen -= adj;
+      adj.ForEach([&](int f) { stack.push_back(f); });
+    }
+  }
+  return components;
+}
+
+TEST(ComponentsTest, MatchesTheBitsetSweep) {
+  std::vector<std::pair<std::string, Hypergraph>> instances;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(GHD_DATA_DIR)) {
+    if (entry.path().extension() != ".hg") continue;
+    Result<Hypergraph> h = LoadHg(entry.path().string());
+    ASSERT_TRUE(h.ok()) << entry.path();
+    instances.emplace_back(entry.path().filename().string(), h.value());
+  }
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    // Sparse draws fall apart into many components; dense ones stay whole.
+    instances.emplace_back("sparse" + std::to_string(seed),
+                           RandomUniformHypergraph(120, 50, 2, seed));
+    instances.emplace_back("mixed" + std::to_string(seed),
+                           MixedArityHypergraph(90, 40, 4, seed));
+    instances.emplace_back("dense" + std::to_string(seed),
+                           RandomUniformHypergraph(30, 40, 4, seed));
+  }
+  Rng rng(5);
+  for (int n = 5; n <= 40; ++n) {
+    instances.emplace_back("cycle" + std::to_string(n),
+                           RandomRelabeling(CycleHypergraph(n), &rng));
+  }
+  int multi = 0;
+  for (const auto& [name, h] : instances) {
+    const std::vector<std::vector<int>> want = ReferenceEdgeComponents(h);
+    EXPECT_EQ(ConnectedEdgeComponents(h), want) << name;
+    if (want.size() > 1) ++multi;
+  }
+  EXPECT_GE(multi, 8);  // the sweep saw disconnected instances too
 }
 
 TEST(ComponentsTest, EmptyHypergraph) {

@@ -62,7 +62,7 @@ TEST_F(IntrospectionTest, SamplerDeltasFollowTheCounterScript) {
   obs::Sampler sampler;  // never Start()ed: SampleNow drives it
   sampler.SampleNow();          // frame 0: baseline (all deltas zero)
   GHD_COUNT_N(kDeciderMemoInserts, 7);
-  GHD_COUNT_N(kKernelBatches, 3);
+  GHD_COUNT_N(kCanonNodes, 3);
   GHD_GAUGE_MAX(kMaxGuardFamily, 41);
   sampler.SampleNow();  // frame 1: sees exactly the script above
   GHD_COUNT_N(kDeciderMemoInserts, 5);
@@ -72,11 +72,11 @@ TEST_F(IntrospectionTest, SamplerDeltasFollowTheCounterScript) {
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0].delta(obs::Counter::kDeciderMemoInserts), 0);
   EXPECT_EQ(samples[1].delta(obs::Counter::kDeciderMemoInserts), 7);
-  EXPECT_EQ(samples[1].delta(obs::Counter::kKernelBatches), 3);
+  EXPECT_EQ(samples[1].delta(obs::Counter::kCanonNodes), 3);
   EXPECT_EQ(
       samples[1].gauges[static_cast<int>(obs::Gauge::kMaxGuardFamily)], 41);
   EXPECT_EQ(samples[2].delta(obs::Counter::kDeciderMemoInserts), 5);
-  EXPECT_EQ(samples[2].delta(obs::Counter::kKernelBatches), 0);
+  EXPECT_EQ(samples[2].delta(obs::Counter::kCanonNodes), 0);
   // Rates are deltas over the measured gap, not the nominal cadence.
   if (samples[1].interval_seconds > 0) {
     EXPECT_DOUBLE_EQ(samples[1].Rate(obs::Counter::kDeciderMemoInserts),
@@ -187,8 +187,8 @@ TEST_F(IntrospectionTest, HeartbeatStreamsSchemaLinesOnDeadlineRun) {
          {"\"phase\":", "\"rung\":", "\"lb\":", "\"ub\":", "\"k\":",
           "\"frontier_depth\":", "\"memo_states\":", "\"interner_sets\":",
           "\"ticks\":", "\"ticks_per_sec\":", "\"memo_inserts_per_sec\":",
-          "\"kernel_batches_per_sec\":", "\"resident_kb\":",
-          "\"bytes_charged\":", "\"deadline_fraction\":", "\"tick_fraction\":",
+          "\"resident_kb\":", "\"bytes_charged\":",
+          "\"deadline_fraction\":", "\"tick_fraction\":",
           "\"memory_fraction\":", "\"stop_reason\":", "\"final\":"}) {
       EXPECT_NE(line.find(key), std::string::npos) << key << " in " << line;
     }

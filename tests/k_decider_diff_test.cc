@@ -1,8 +1,8 @@
 // Differential test of the width-k decider against the decider it replaced.
 //
 // The reference below sorts each state's candidates out of every guard that
-// touches the component, scored through dense guard strips; splits
-// components with kernels::FlatSplitComponents; and recurses on the call
+// touches the component, scored through dense guard sets; splits
+// components with the scalar ReferenceSplit; and recurses on the call
 // stack. The decider under test reads a connector-first prefix and a lazy
 // tail from the CoverIndex CSRs, splits inside the component, and runs on an
 // explicit state stack. Both must agree on the verdict, states_visited, the
@@ -31,10 +31,9 @@
 #include "gen/workload_trace.h"
 #include "gtest/gtest.h"
 #include "htd/det_k_decomp.h"
-#include "hypergraph/flat_hypergraph.h"
 #include "hypergraph/hg_io.h"
-#include "hypergraph/kernels.h"
 #include "obs/obs.h"
+#include "split_reference.h"
 #include "test_instances.h"
 #include "util/check.h"
 #include "util/hash_mix.h"
@@ -50,33 +49,31 @@ namespace {
 
 // Candidates of a state: every guard touching v_comp, connected-first —
 // guards meeting conn by descending |g ∩ conn|, then the rest; ties by
-// descending |g ∩ v_comp|, then ascending id. Scored over dense strips: one
-// guards-containing row per vertex and one row per guard.
+// descending |g ∩ v_comp|, then ascending id. Scored over dense sets: one
+// guards-containing set per vertex and the guards' own sets.
 class RefCoverIndex {
  public:
   RefCoverIndex(const Hypergraph& h, const GuardFamily& family)
-      : guards_containing_(h.num_vertices(), family.size()),
-        guard_bits_(family.size(), h.num_vertices()) {
+      : guards_containing_(h.num_vertices(), VertexSet(family.size())),
+        guards_(family.guards) {
     for (int g = 0; g < family.size(); ++g) {
-      guard_bits_.SetRow(g, family.guards[g]);
-      family.guards[g].ForEach([&](int v) {
-        guards_containing_.row(v)[g >> 6] |= uint64_t{1} << (g & 63);
-      });
+      family.guards[g].ForEach([&](int v) { guards_containing_[v].Set(g); });
     }
   }
 
   std::vector<int> CandidatesFor(const VertexSet& v_comp,
                                  const VertexSet& conn) const {
-    const VertexSet touching = kernels::UnionRows(guards_containing_, v_comp);
-    std::vector<int32_t> ids;
+    VertexSet touching(static_cast<int>(guards_.size()));
+    v_comp.ForEach([&](int v) { touching |= guards_containing_[v]; });
+    std::vector<int> ids;
     touching.ForEach([&](int g) { ids.push_back(g); });
     const int count = static_cast<int>(ids.size());
     std::vector<int> conn_cover(count);
     std::vector<int> comp_cover(count);
-    kernels::AndPopcountRows(conn.word_data(), guard_bits_, ids.data(), count,
-                             conn_cover.data());
-    kernels::AndPopcountRows(v_comp.word_data(), guard_bits_, ids.data(),
-                             count, comp_cover.data());
+    for (int i = 0; i < count; ++i) {
+      conn_cover[i] = guards_[ids[i]].IntersectCount(conn);
+      comp_cover[i] = guards_[ids[i]].IntersectCount(v_comp);
+    }
     std::vector<int> order(count);
     for (int i = 0; i < count; ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -98,8 +95,8 @@ class RefCoverIndex {
   }
 
  private:
-  BitMatrix guards_containing_;  // rows = vertices, universe = family
-  BitMatrix guard_bits_;         // rows = guards, universe = vertices
+  std::vector<VertexSet> guards_containing_;  // per vertex, over the family
+  std::vector<VertexSet> guards_;             // per guard, over the vertices
 };
 
 struct RefKey {
@@ -223,7 +220,6 @@ struct RefLadder {
 // The recursive decider, state for state.
 struct RefDecider {
   const Hypergraph* h;
-  const FlatHypergraph* flat;
   const GuardFamily* family;
   const RefCoverIndex* index;
   int k;
@@ -305,15 +301,14 @@ struct RefDecider {
         covered_any = true;
       }
     });
-    std::vector<VertexSet> parts =
-        kernels::FlatSplitComponents(*flat, rem, chi);
+    std::vector<VertexSet> parts = ReferenceSplit(*h, rem, chi);
     if (!covered_any && parts.size() == 1 && parts[0] == comp) {
       neg_cache->Insert(neg_key);
       return false;
     }
     std::vector<RefKey> children;
     for (VertexSet& part : parts) {
-      VertexSet child_conn = kernels::FlatVerticesOf(*flat, part);
+      VertexSet child_conn = ReferenceVerticesOf(*h, part);
       child_conn &= chi;
       children.push_back(MakeKey(part, child_conn));
     }
@@ -335,9 +330,10 @@ struct RefDecider {
                        const std::vector<int>& candidates, const Rows& rows,
                        size_t from, std::vector<int>* lambda,
                        const VertexSet& conn_left, RefValue* value) {
-    if (!kernels::IsSubset(conn_left.word_data(), rows.Suffix(from),
-                           rows.words)) {
-      return false;
+    for (int w = 0; w < rows.words; ++w) {
+      if ((conn_left.word_data()[w] & ~rows.Suffix(from)[w]) != 0) {
+        return false;
+      }
     }
     if (!Tick()) return false;
     if (!lambda->empty() && conn_left.Empty()) {
@@ -365,7 +361,7 @@ struct RefDecider {
     if (!Tick()) return false;
     const VertexSet& comp = interner->Resolve(key.comp_id);
     const VertexSet& conn = interner->Resolve(key.conn_id);
-    const VertexSet v_comp = kernels::FlatVerticesOf(*flat, comp);
+    const VertexSet v_comp = ReferenceVerticesOf(*h, comp);
     const std::vector<int> candidates = index->CandidatesFor(v_comp, conn);
     const Rows rows(conn, candidates, *family);
     RefValue value;
@@ -432,7 +428,6 @@ KDeciderResult RefDecideWidthK(const Hypergraph& h, const GuardFamily& family,
     ladder = local.get();
   }
   RefDecider decider{&h,
-                     &h.Flat(),
                      &family,
                      ladder->index.get(),
                      k,
@@ -452,8 +447,8 @@ KDeciderResult RefDecideWidthK(const Hypergraph& h, const GuardFamily& family,
     decider.neg_memo = &store->memo;
     decider.neg_cache = &store->cache;
   }
-  const std::vector<VertexSet> roots = kernels::FlatSplitComponents(
-      h.Flat(), VertexSet::Full(h.num_edges()), VertexSet(h.num_vertices()));
+  const std::vector<VertexSet> roots = ReferenceSplit(
+      h, VertexSet::Full(h.num_edges()), VertexSet(h.num_vertices()));
   std::vector<RefKey> root_keys;
   bool all_ok = true;
   for (const VertexSet& comp : roots) {

@@ -1,3 +1,7 @@
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/ghw_exact.h"
 #include "core/tree_projection.h"
 #include "gen/generators.h"
@@ -117,6 +121,115 @@ TEST(TreeProjectionTest, UndecidedOnTinyBudget) {
   options.state_budget = 1;
   TreeProjectionResult r = GhwAtMostViaTreeProjection(h, 2, 200000, options);
   EXPECT_FALSE(r.decided);
+}
+
+// G over n vertices whose edges straddle the word boundaries: a low half, a
+// high half, a pair {n-1, 0}, and a band around vertex 64 when n reaches
+// it. Vertex n-2 is in the high half only; vertex 1 is in the low half only.
+Hypergraph SandwichTarget(int n) {
+  std::vector<std::string> names;
+  for (int v = 0; v < n; ++v) names.push_back("v" + std::to_string(v));
+  std::vector<VertexSet> edges(3, VertexSet(n));
+  for (int v = 0; v <= n / 2; ++v) edges[0].Set(v);
+  for (int v = n / 2; v < n; ++v) edges[1].Set(v);
+  edges[2].Set(n - 1);
+  edges[2].Set(0);
+  if (n > 64) {
+    VertexSet band(n);
+    for (int v = 60; v <= 64; ++v) band.Set(v);
+    band.Set(n - 2);
+    edges.push_back(band);
+  }
+  std::vector<std::string> edge_names;
+  for (size_t e = 0; e < edges.size(); ++e) {
+    edge_names.push_back("g" + std::to_string(e));
+  }
+  return Hypergraph(std::move(names), std::move(edge_names),
+                    std::move(edges));
+}
+
+bool FitsSomeEdge(const Hypergraph& g, const VertexSet& bag) {
+  for (int e = 0; e < g.num_edges(); ++e) {
+    if (bag.IsSubsetOf(g.edge(e))) return true;
+  }
+  return false;
+}
+
+TEST(SandwichCheckTest, FitsAndViolationsAtWordBoundaries) {
+  for (int n : {63, 64, 65, 127, 128, 129}) {
+    const Hypergraph g = SandwichTarget(n);
+    auto bag = [n](std::vector<int> vs) { return VertexSet::Of(n, vs); };
+    const std::vector<VertexSet> fitting = {
+        VertexSet(n),              // empty: fits while G has an edge
+        g.edge(0),                 // whole edges
+        g.edge(1),
+        bag({0, n - 1}),           // the pair edge
+        bag({1, n / 2}),           // inside the low half only
+        bag({n / 2, n - 2, n - 1}),  // inside the high half only
+    };
+    for (size_t i = 0; i < fitting.size(); ++i) {
+      EXPECT_EQ(internal::FirstBagOutsideEdges(g, {fitting[i]}), -1)
+          << "universe " << n << " fitting bag " << i;
+    }
+    // Each of these meets two edges but lies inside none; the first vertex
+    // of each is in an edge, so only the subset test can reject them.
+    const std::vector<VertexSet> violating = {
+        bag({0, n / 2, n - 1}),  // spans all three base edges
+        bag({1, n - 2}),         // low-only and high-only vertices
+        bag({0, 1, n - 1}),      // pair edge plus a low-only vertex
+        bag({1, n / 2 + 1}),     // low-only and just past the halves' overlap
+    };
+    for (size_t i = 0; i < violating.size(); ++i) {
+      EXPECT_EQ(internal::FirstBagOutsideEdges(g, {violating[i]}), 0)
+          << "universe " << n << " violating bag " << i;
+    }
+    // The index is the first violating bag, after any number that fit.
+    std::vector<VertexSet> mixed = fitting;
+    mixed.push_back(violating[1]);
+    mixed.push_back(violating[0]);
+    EXPECT_EQ(internal::FirstBagOutsideEdges(g, mixed),
+              static_cast<int>(fitting.size()))
+        << "universe " << n;
+    if (n >= 127) {
+      // Only the band edge, which crosses words 0/1, holds 62 and 64 with
+      // n-2: the bag fits there; one more vertex outside the band does not.
+      EXPECT_EQ(internal::FirstBagOutsideEdges(g, {bag({62, 63, 64, n - 2})}),
+                -1)
+          << "universe " << n;
+      EXPECT_EQ(
+          internal::FirstBagOutsideEdges(g, {bag({59, 62, 63, 64, n - 2})}), 0)
+          << "universe " << n;
+    }
+  }
+  // Without G-edges nothing fits, not even the empty bag.
+  const Hypergraph empty({"a", "b"}, {}, {});
+  EXPECT_EQ(internal::FirstBagOutsideEdges(empty, {VertexSet(2)}), 0);
+}
+
+TEST(SandwichCheckTest, MatchesBruteForceOnRandomBags) {
+  std::mt19937_64 rng(43);
+  for (int n : {63, 64, 65, 127, 128, 129}) {
+    const Hypergraph g = RandomUniformHypergraph(n, n / 3, 6, 31 + n);
+    std::vector<VertexSet> bags;
+    for (int e = 0; e < g.num_edges(); ++e) {
+      // A random subset of an edge fits; adding a random vertex may not.
+      VertexSet sub(n);
+      g.edge(e).ForEach([&](int v) {
+        if (rng() % 2 == 0) sub.Set(v);
+      });
+      bags.push_back(sub);
+      sub.Set(static_cast<int>(rng() % n));
+      bags.push_back(sub);
+    }
+    int violations = 0;
+    for (size_t i = 0; i < bags.size(); ++i) {
+      const bool fits = FitsSomeEdge(g, bags[i]);
+      violations += fits ? 0 : 1;
+      EXPECT_EQ(internal::FirstBagOutsideEdges(g, {bags[i]}), fits ? -1 : 0)
+          << "universe " << n << " bag " << bags[i].ToString();
+    }
+    EXPECT_GT(violations, 0) << "universe " << n;
+  }
 }
 
 }  // namespace

@@ -58,9 +58,6 @@
 //                    the positional seconds budget
 //   --memory-mb N    approximate memory budget for the search caches
 //   --seed N         RNG seed for the randomized heuristics (default 1)
-//   --no-simd        force the portable scalar batch kernels even when the
-//                    CPU supports AVX2 (equivalent to GHD_FORCE_SCALAR=1;
-//                    results are bit-identical, only throughput changes)
 //   --counters       print the engine counter table to stderr after the run
 //   --trace-out=F    write a Chrome trace_event JSON (chrome://tracing,
 //                    Perfetto) of the run's spans, one lane per thread
@@ -115,7 +112,6 @@
 #include "hypergraph/components.h"
 #include "hypergraph/dot_export.h"
 #include "hypergraph/hg_io.h"
-#include "hypergraph/kernels.h"
 #include "hypergraph/stats.h"
 #include "obs/obs.h"
 #include "td/bucket_elimination.h"
@@ -151,7 +147,7 @@ int Usage() {
   std::cerr
       << "usage: ghd_cli <stats|bounds|ghw|anytime|hw|bip|tw|fhw|components|"
          "td|decompose>\n               <file.hg> [budget] "
-         "[--timeout-ms N] [--memory-mb N] [--seed N] [--no-simd]\n"
+         "[--timeout-ms N] [--memory-mb N] [--seed N]\n"
          "               "
          "[--counters] [--trace-out=FILE] [--report-out=FILE] [--verbose]\n"
          "               [--heartbeat-ms N] [--metrics-out=FILE]\n"
@@ -576,8 +572,6 @@ int main(int argc, char** argv) {
       no_cache = true;
     } else if (arg == "--counters") {
       want_counters = true;
-    } else if (arg == "--no-simd") {
-      kernels::ForceScalarKernels(true);
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -633,8 +627,6 @@ int main(int argc, char** argv) {
               << " threads=" << num_threads << " seed=" << seed
               << " timeout_ms=" << timeout_ms << " memory_mb=" << memory_mb
               << " budget_arg=" << (args.size() > 2 ? args[2] : "(default)")
-              << " kernel_dispatch="
-              << kernels::KernelDispatchName(kernels::SelectedDispatch())
 #if GHD_OBS_ENABLED
               << " git=" << obs::BuildGitDescribe()
 #endif
@@ -652,7 +644,7 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << parsed.status().ToString() << "\n";
       return kExitError;
     }
-    h = parsed.value();
+    h = std::move(parsed).value();
   }
   const double budget_seconds =
       has_positional ? static_cast<double>(positional) : 30.0;
@@ -962,9 +954,6 @@ int main(int argc, char** argv) {
       report.AddConfig("trace_out", trace_out);
       report.AddConfig("heartbeat_ms", std::to_string(heartbeat_ms));
       report.AddConfig("metrics_out", metrics_out);
-      report.AddConfig(
-          "kernel_dispatch",
-          kernels::KernelDispatchName(kernels::SelectedDispatch()));
       // Batch commands have no single instance to profile.
       report.has_stats = !batch_command;
       if (report.has_stats) {

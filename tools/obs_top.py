@@ -41,7 +41,6 @@ BOARD_ROWS = (
 RATE_ROWS = (
     ("ticks_per_sec", "governor ticks/s"),
     ("memo_inserts_per_sec", "memo inserts/s"),
-    ("kernel_batches_per_sec", "kernel batches/s"),
 )
 
 

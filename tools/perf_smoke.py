@@ -10,19 +10,11 @@ reference. That still catches the regressions this gate exists for — an
 accidentally de-inlined copy path, the small-set optimization falling back to
 heap allocation — while shrugging off hardware and scheduler noise.
 
-The reference also records the kernel_dispatch ("avx2" or "scalar",
-hypergraph/kernels.h) it was measured under; the gate refuses to compare a
-run whose dispatch differs, printing both names, since cross-dispatch ratios
-are config artifacts rather than regressions. CI runs the gate under each
-dispatch against the matching reference file
-(bench/perf_smoke_reference.json for native,
-bench/perf_smoke_reference_scalar.json for GHD_FORCE_SCALAR=1).
-
 Usage:
   python3 tools/perf_smoke.py --micro build/bench/micro \
       --reference bench/perf_smoke_reference.json [--max-ratio 3.0]
 
-Regenerate the reference after an intentional kernel change:
+Regenerate the reference after an intentional change to a pinned path:
   python3 tools/perf_smoke.py --micro build/bench/micro \
       --reference bench/perf_smoke_reference.json --update
 """
@@ -45,13 +37,12 @@ def run_benchmarks(micro, filter_regex, min_time):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"benchmark binary failed: {' '.join(cmd)}")
     data = json.loads(proc.stdout)
-    dispatch = data.get("context", {}).get("kernel_dispatch", "unknown")
     results = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
         results[bench["name"]] = float(bench["cpu_time"])
-    return results, dispatch
+    return results
 
 
 def main():
@@ -73,38 +64,18 @@ def main():
     kernels = reference["kernels"]
     filter_regex = "^(" + "|".join(
         name.replace("/", "/") for name in kernels) + ")$"
-    measured, dispatch = run_benchmarks(args.micro, filter_regex,
-                                        args.min_time)
+    measured = run_benchmarks(args.micro, filter_regex, args.min_time)
 
     if args.update:
         for name in kernels:
             if name not in measured:
                 raise SystemExit(f"kernel {name} missing from benchmark run")
             kernels[name]["cpu_ns"] = round(measured[name], 2)
-        reference["kernel_dispatch"] = dispatch
         with open(args.reference, "w") as f:
             json.dump(reference, f, indent=2)
             f.write("\n")
-        print(f"updated {args.reference} (kernel_dispatch={dispatch})")
+        print(f"updated {args.reference}")
         return 0
-
-    # Numbers measured under one kernel dispatch are meaningless against
-    # numbers measured under another — an "avx2" reference compared to a
-    # forced-scalar run would flag a 3x "regression" that is really a config
-    # mismatch (or, worse, hide a real scalar regression behind generous AVX2
-    # headroom). Refuse loudly instead of comparing.
-    ref_dispatch = reference.get("kernel_dispatch", "unknown")
-    if ref_dispatch != dispatch:
-        print(
-            "perf smoke DISPATCH MISMATCH: reference was measured with "
-            f"kernel_dispatch={ref_dispatch!r} but this run executed with "
-            f"kernel_dispatch={dispatch!r}.\n"
-            "Comparing across dispatches is meaningless; rerun with the "
-            "matching mode (GHD_FORCE_SCALAR / --no-simd) or regenerate the "
-            "reference with --update on the intended dispatch.",
-            file=sys.stderr)
-        return 1
-    print(f"kernel_dispatch: {dispatch} (matches reference)")
 
     failures = []
     for name, entry in kernels.items():

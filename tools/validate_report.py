@@ -171,8 +171,7 @@ HEARTBEAT_INT_KEYS = (
 )
 HEARTBEAT_NUMBER_KEYS = (
     "at_seconds", "ticks_per_sec", "memo_inserts_per_sec",
-    "kernel_batches_per_sec", "deadline_fraction", "tick_fraction",
-    "memory_fraction",
+    "deadline_fraction", "tick_fraction", "memory_fraction",
 )
 HEARTBEAT_STR_KEYS = ("type", "phase", "rung", "stop_reason")
 

@@ -300,6 +300,28 @@ void BM_Canonicalize(benchmark::State& state) {
 }
 BENCHMARK(BM_Canonicalize)->Arg(24)->Arg(64)->Arg(256);
 
+// The same cost on a long window path and on a ripple-carry adder chain,
+// the repeat_batch families whose interior cells are long chains: refinement
+// alone nearly settles them (a handful of search nodes), so the time is the
+// refinement itself. Rescoring every member of each split chain cell, not
+// all but its largest part, makes these quadratic in the length.
+void BM_CanonicalizeWindow(benchmark::State& state) {
+  const Hypergraph h =
+      WindowPathHypergraph(static_cast<int>(state.range(0)), 3, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Canonicalize(h).key.lo);
+  }
+}
+BENCHMARK(BM_CanonicalizeWindow)->Arg(160);
+
+void BM_CanonicalizeAdder(benchmark::State& state) {
+  const Hypergraph h = AdderHypergraph(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Canonicalize(h).key.lo);
+  }
+}
+BENCHMARK(BM_CanonicalizeAdder)->Arg(16);
+
 // The full warm-hit serving path of the decomposition cache: reduce +
 // canonicalize an isomorphic re-ask, look its key up, rehydrate the cached
 // witness through the inverse permutations, and re-validate it on the

@@ -23,7 +23,7 @@ namespace {
 // The version covers the canonicalization constants too — a key computed by
 // a different canonical.cc must never match entries from this file.
 constexpr char kMagic[4] = {'G', 'H', 'D', 'C'};
-constexpr uint32_t kWireVersion = 1;
+constexpr uint32_t kWireVersion = 2;
 
 // Fixed overhead estimate per map node (key, LRU link, bucket slot).
 constexpr size_t kEntryOverhead = 128;

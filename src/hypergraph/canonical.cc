@@ -4,8 +4,9 @@
 #include <array>
 #include <initializer_list>
 #include <numeric>
-#include <unordered_map>
+#include <utility>
 
+#include "hypergraph/cell_sizes.h"
 #include "hypergraph/flat_hypergraph.h"
 #include "obs/obs.h"
 #include "util/check.h"
@@ -25,9 +26,18 @@ constexpr uint64_t kKeySeedLo = 0x452821e638d01377ull;
 constexpr uint64_t kNoncanonicalMark = 0xdeadbeefcafef00dull;
 
 // Order-dependent FNV-1a-style fold over 64-bit values, splitmix-finalized.
-// Callers sort first when the input is a multiset.
-uint64_t HashValues(const uint64_t* values, size_t count, uint64_t seed) {
-  uint64_t h = seed ^ (0xcbf29ce484222325ull + count);
+// Callers sort first when the input is a multiset. The fold runs over
+// `leading_zeros` zero values before `values`: xor with zero changes
+// nothing, so they fold into one power of the multiplier, taken by
+// squaring.
+uint64_t HashValues(const uint64_t* values, size_t count, uint64_t seed,
+                    size_t leading_zeros = 0) {
+  uint64_t h = seed ^ (0xcbf29ce484222325ull + leading_zeros + count);
+  uint64_t power = 0x100000001b3ull;
+  for (size_t z = leading_zeros; z != 0; z >>= 1) {
+    if (z & 1) h *= power;
+    power *= power;
+  }
   for (size_t i = 0; i < count; ++i) {
     h ^= values[i];
     h *= 0x100000001b3ull;
@@ -44,15 +54,21 @@ uint64_t HashInts(const uint32_t* values, size_t count, uint64_t seed) {
   return SplitMix64(h);
 }
 
-// One node of the individualization-refinement search: a pair of color
-// vectors over vertices and edges plus the cell sizes keyed by color value.
-// The counts let the worklist refinement decide "did this cell actually
-// split" without ever scanning the full color vectors.
-struct Coloring {
-  std::vector<uint64_t> vc;
-  std::vector<uint64_t> ec;
-  std::unordered_map<uint64_t, int> vcount;
-  std::unordered_map<uint64_t, int> ecount;
+// Lexicographic order on two id spans (a proper prefix first), ties broken
+// by id: the order of std::vector's operator< plus the id tie-break.
+template <typename It>
+bool SpanLess(It a, It a_end, int a_id, It b, It b_end, int b_id) {
+  const auto [pa, pb] = std::mismatch(a, a_end, b, b_end);
+  if (pa != a_end && pb != b_end) return *pa < *pb;
+  if (pa == a_end && pb == b_end) return a_id < b_id;
+  return pa == a_end;
+}
+
+// One recoloring on the trail: the element (a vertex id, or ~e for edge e)
+// and the color it had before.
+struct Recolor {
+  int32_t element;
+  uint64_t old;
 };
 
 // A leaf the search keeps: its encoding (compared lexicographically), the
@@ -69,21 +85,18 @@ struct Leaf {
 class CanonicalSearch {
  public:
   CanonicalSearch(const Hypergraph& h, const CanonicalizeOptions& options)
-      : h_(h), flat_(h.Flat()), options_(options),
+      : flat_(h.Flat()), options_(options),
         n_(h.num_vertices()), m_(h.num_edges()),
-        stamp_v_(h.num_vertices(), 0), stamp_e_(h.num_edges(), 0) {}
+        vcells_(n_), ecells_(m_),
+        stamp_v_(n_, 0), stamp_e_(m_, 0) {}
 
   CanonicalFormResult Run() {
     CanonicalFormResult result;
-    Coloring start;
-    InitialColors(&start);
-    std::vector<int> all_v(n_), all_e(m_);
-    std::iota(all_v.begin(), all_v.end(), 0);
-    std::iota(all_e.begin(), all_e.end(), 0);
+    InitialColors();
+    TwinClasses();
     orbit_.resize(n_);
     std::iota(orbit_.begin(), orbit_.end(), 0);
-    Search(std::move(start), std::move(all_v), std::move(all_e),
-           /*depth=*/0);
+    Search(/*depth=*/0);
     GHD_CHECK(best_.set);
     result.vertex_perm = std::move(best_.vertex_perm);
     result.edge_perm = std::move(best_.edge_perm);
@@ -110,22 +123,35 @@ class CanonicalSearch {
     return result;
   }
 
+  // The root's stable coloring, refined once more after individualizing
+  // `individualized` when it is a vertex (StableColoring).
+  RefinedColoring Stable(int individualized) {
+    InitialColors();
+    Refine();
+    if (individualized >= 0) {
+      Individualize(individualized);
+      Refine();
+    }
+    return {vc_, ec_};
+  }
+
  private:
   // Seed colors: vertex degree; edge arity plus (on small enough instances)
   // the sorted profile of pairwise intersection sizes. The profile walks the
   // vertex CSR: every edge met through a shared vertex is counted in a reused
   // array, and the m - |met| disjoint edges are the leading zeros of the
-  // sorted profile. Cost is the sum over e of the degrees of e's members.
-  void InitialColors(Coloring* c) {
-    c->vc.resize(n_);
-    c->ec.resize(m_);
+  // sorted profile, hashed without being written out. Cost is the sum over e
+  // of the degrees of e's members. Every element starts dirty.
+  void InitialColors() {
+    vc_.resize(n_);
+    ec_.resize(m_);
     const auto& vo = flat_.vertex_offsets();
     const auto& ve = flat_.vertex_edges();
     const auto& eo = flat_.edge_offsets();
     const auto& ev = flat_.edge_vertices();
     for (int v = 0; v < n_; ++v) {
       const long degree = vo[v + 1] - vo[v];
-      c->vc[v] = SplitMix64(kVertexSeed ^ static_cast<uint64_t>(degree));
+      vc_[v] = SplitMix64(kVertexSeed ^ static_cast<uint64_t>(degree));
     }
     const bool profile = m_ > 0 && m_ <= kMaxProfileEdges;
     std::vector<int> counts(profile ? m_ : 0, 0);
@@ -142,54 +168,84 @@ class CanonicalSearch {
             if (counts[ve[j]]++ == 0) met.push_back(ve[j]);
           }
         }
-        sorted.assign(m_ - met.size(), 0);
+        sorted.clear();
         for (const int f : met) {
           sorted.push_back(static_cast<uint64_t>(counts[f]));
           counts[f] = 0;
         }
-        std::sort(sorted.end() - met.size(), sorted.end());
-        h = HashCombine(h, HashValues(sorted.data(), sorted.size(), h));
+        std::sort(sorted.begin(), sorted.end());
+        h = HashCombine(h, HashValues(sorted.data(), sorted.size(), h,
+                                      m_ - met.size()));
       }
-      c->ec[e] = h;
+      ec_[e] = h;
     }
-    for (const uint64_t x : c->vc) ++c->vcount[x];
-    for (const uint64_t x : c->ec) ++c->ecount[x];
+    for (const uint64_t x : vc_) vcells_.Add(x, 1);
+    for (const uint64_t x : ec_) ecells_.Add(x, 1);
+    dirty_v_.resize(n_);
+    dirty_e_.resize(m_);
+    std::iota(dirty_v_.begin(), dirty_v_.end(), 0);
+    std::iota(dirty_e_.begin(), dirty_e_.end(), 0);
   }
 
-  // Worklist 1-WL on the incidence structure, Paige-Tarjan style: only
-  // elements adjacent to a cell that split last half-round are rescored, and
-  // a rescored cell moves only the members whose signature actually
-  // separates them (members left untouched keep their color — their
-  // signatures are determined by cell-formation history plus the preserved
-  // neighbor counts, so skipping them is the classic "all but one part"
-  // split). This is what makes individualization affordable: re-refining
-  // after splitting one vertex off costs work proportional to the region the
-  // change wave reaches, not rounds * (n + m). On a cycle — vertex-
-  // transitive, so every branch of the search pays a full refinement — the
-  // end-to-end canonicalization drops from quadratic per branch to linear
-  // (BM_Canonicalize/256 pins it).
+  // Two vertices are twins when their incidence lists are identical — every
+  // automorphism-free search can order them arbitrarily, so a cell of
+  // mutual twins never needs individualization. (Covers isolated vertices,
+  // star leaves, and interchangeable pin vertices.) twin_[v] names v's twin
+  // class by its smallest vertex id: vertices sorted by their vertex-CSR
+  // lists (sorted, so equal sets are equal ranges), then by id.
+  void TwinClasses() {
+    const auto& vo = flat_.vertex_offsets();
+    const auto& ve = flat_.vertex_edges();
+    std::vector<int> by_list(n_);
+    std::iota(by_list.begin(), by_list.end(), 0);
+    auto same = [&](int a, int b) {
+      return std::equal(ve.begin() + vo[a], ve.begin() + vo[a + 1],
+                        ve.begin() + vo[b], ve.begin() + vo[b + 1]);
+    };
+    std::sort(by_list.begin(), by_list.end(), [&](int a, int b) {
+      return SpanLess(ve.begin() + vo[a], ve.begin() + vo[a + 1], a,
+                      ve.begin() + vo[b], ve.begin() + vo[b + 1], b);
+    });
+    twin_.resize(n_);
+    for (int i = 0; i < n_; ++i) {
+      const int v = by_list[i];
+      twin_[v] = i > 0 && same(by_list[i - 1], v) ? twin_[by_list[i - 1]] : v;
+    }
+    twin_seen_.assign(n_, 0);
+  }
+
+  // Worklist 1-WL on the incidence structure with Hopcroft's "all but the
+  // largest" rule: only elements adjacent to a cell that split last
+  // half-round are rescored, and of a cell that splits, all parts but one
+  // are re-dirtied. When the whole cell was rescored, its largest signature
+  // group (ties: smallest signature) keeps the old color and stays clean —
+  // its neighbors' counts into it are the old cell's counts minus the other
+  // parts', which the re-dirtied parts already propagate. When only part of
+  // the cell was rescored, the unrescored members keep the old color (their
+  // signatures necessarily differ: every member of a just-created color is
+  // dirty, so they have no neighbor in one) and every rescored group moves.
+  // A path or chain therefore re-touches only the elements whose color
+  // changes, not its whole interior cell every half-round, and re-refining
+  // after individualizing one vertex costs work proportional to the region
+  // the change wave reaches.
   //
-  // `dirty_v` / `dirty_e` are the just-split elements (consumed). New colors
-  // are HashCombine(old color, signature): invariant under relabeling, and
-  // cells only ever split, so termination is bounded by n + m total splits
-  // (the round guard below only trips on a 64-bit color collision, which
-  // makes the result wrong-but-deterministic — the same failure class as an
-  // InstanceKey collision, and caught by rehydration-time re-validation).
-  void Refine(Coloring* c, std::vector<int> dirty_v, std::vector<int> dirty_e) {
-    std::vector<uint64_t> neighbors;
-    // (old color, signature, element) triples of the rescored side, sorted to
-    // group cells and candidate splits.
-    std::vector<std::array<uint64_t, 3>> scored;
-    std::vector<int> touched;
+  // Consumes `dirty_v_` / `dirty_e_`; every recoloring goes on the trail.
+  // New colors are HashCombine(old color, signature): invariant under
+  // relabeling, and cells only ever split, so termination is bounded by
+  // n + m total splits (the round guard below only trips on a 64-bit color
+  // collision, which makes the result wrong-but-deterministic — the same
+  // failure class as an InstanceKey collision, and caught by
+  // rehydration-time re-validation).
+  void Refine() {
     const long max_half_rounds = 4L * (n_ + m_) + 8;
     long half_rounds = 0;
-    while ((!dirty_v.empty() || !dirty_e.empty()) &&
+    while ((!dirty_v_.empty() || !dirty_e_.empty()) &&
            half_rounds++ < max_half_rounds) {
       ++rounds_;
-      const bool vertex_side = !dirty_v.empty();
-      std::vector<int>& dirty = vertex_side ? dirty_v : dirty_e;
+      const bool vertex_side = !dirty_v_.empty();
+      std::vector<int>& dirty = vertex_side ? dirty_v_ : dirty_e_;
       // Rescore the neighbors of the dirty elements on the opposite side.
-      touched.clear();
+      touched_.clear();
       if (vertex_side) {
         const auto& vo = flat_.vertex_offsets();
         const auto& ve = flat_.vertex_edges();
@@ -198,7 +254,7 @@ class CanonicalSearch {
             const int e = ve[i];
             if (stamp_e_[e] != stamp_) {
               stamp_e_[e] = stamp_;
-              touched.push_back(e);
+              touched_.push_back(e);
             }
           }
         }
@@ -210,89 +266,115 @@ class CanonicalSearch {
             const int v = ev[i];
             if (stamp_v_[v] != stamp_) {
               stamp_v_[v] = stamp_;
-              touched.push_back(v);
+              touched_.push_back(v);
             }
           }
         }
       }
       dirty.clear();
       ++stamp_;
-      scored.clear();
-      scored.reserve(touched.size());
-      for (const int x : touched) {
-        neighbors.clear();
+      // (old color, signature, element) triples of the rescored side, sorted
+      // to group cells and candidate splits. Members of singleton cells
+      // cannot split and are not scored.
+      std::vector<uint64_t>& colors = vertex_side ? ec_ : vc_;
+      CellSizes& cells = vertex_side ? ecells_ : vcells_;
+      scored_.clear();
+      for (const int x : touched_) {
+        if (cells.Get(colors[x]) == 1) continue;
+        neighbors_.clear();
         if (vertex_side) {
           const auto& eo = flat_.edge_offsets();
           const auto& ev = flat_.edge_vertices();
           for (int32_t i = eo[x]; i < eo[x + 1]; ++i) {
-            neighbors.push_back(c->vc[ev[i]]);
+            neighbors_.push_back(vc_[ev[i]]);
           }
         } else {
           const auto& vo = flat_.vertex_offsets();
           const auto& ve = flat_.vertex_edges();
           for (int32_t i = vo[x]; i < vo[x + 1]; ++i) {
-            neighbors.push_back(c->ec[ve[i]]);
+            neighbors_.push_back(ec_[ve[i]]);
           }
         }
-        std::sort(neighbors.begin(), neighbors.end());
+        std::sort(neighbors_.begin(), neighbors_.end());
         const uint64_t sig =
-            HashValues(neighbors.data(), neighbors.size(),
+            HashValues(neighbors_.data(), neighbors_.size(),
                        vertex_side ? kEdgeSeed : kVertexSeed);
-        const uint64_t old =
-            vertex_side ? c->ec[x] : c->vc[x];
-        scored.push_back({old, sig, static_cast<uint64_t>(x)});
+        scored_.push_back({colors[x], sig, static_cast<uint64_t>(x)});
       }
-      std::sort(scored.begin(), scored.end());
-      std::vector<uint64_t>& colors = vertex_side ? c->ec : c->vc;
-      std::unordered_map<uint64_t, int>& counts =
-          vertex_side ? c->ecount : c->vcount;
-      std::vector<int>& split_out = vertex_side ? dirty_e : dirty_v;
-      for (size_t i = 0; i < scored.size();) {
+      std::sort(scored_.begin(), scored_.end());
+      std::vector<int>& split_out = vertex_side ? dirty_e_ : dirty_v_;
+      for (size_t i = 0; i < scored_.size();) {
         size_t j = i;
-        while (j < scored.size() && scored[j][0] == scored[i][0]) ++j;
-        const uint64_t old = scored[i][0];
-        const int cell_size = counts.at(old);
+        while (j < scored_.size() && scored_[j][0] == scored_[i][0]) ++j;
+        const uint64_t old = scored_[i][0];
+        const bool whole = static_cast<int>(j - i) == cells.Get(old);
         // Whole cell rescored into one signature group: nothing separated,
         // every member keeps its color.
-        if (static_cast<int>(j - i) == cell_size &&
-            scored[j - 1][1] == scored[i][1]) {
+        if (whole && scored_[j - 1][1] == scored_[i][1]) {
           i = j;
           continue;
         }
-        // Otherwise every rescored member moves to a signature-refined
-        // color; unrescored members (signature necessarily distinct — their
-        // neighborhoods kept the pre-split colors) stay behind on `old`.
+        size_t keep_begin = j, keep_size = 0;
+        if (whole) {
+          for (size_t g = i; g < j;) {
+            size_t h = g;
+            while (h < j && scored_[h][1] == scored_[g][1]) ++h;
+            if (h - g > keep_size) {
+              keep_begin = g;
+              keep_size = h - g;
+            }
+            g = h;
+          }
+        }
         int moved = 0;
         for (size_t g = i; g < j;) {
           size_t h = g;
-          while (h < j && scored[h][1] == scored[g][1]) ++h;
-          const uint64_t fresh = HashCombine(old, scored[g][1]);
-          for (size_t t = g; t < h; ++t) {
-            const int x = static_cast<int>(scored[t][2]);
-            colors[x] = fresh;
-            split_out.push_back(x);
+          while (h < j && scored_[h][1] == scored_[g][1]) ++h;
+          if (g != keep_begin) {
+            const uint64_t fresh = HashCombine(old, scored_[g][1]);
+            for (size_t t = g; t < h; ++t) {
+              const int x = static_cast<int>(scored_[t][2]);
+              trail_.push_back({vertex_side ? ~x : x, colors[x]});
+              colors[x] = fresh;
+              split_out.push_back(x);
+            }
+            cells.Add(fresh, static_cast<int>(h - g));
+            moved += static_cast<int>(h - g);
           }
-          counts[fresh] += static_cast<int>(h - g);
-          moved += static_cast<int>(h - g);
           g = h;
         }
-        if ((counts[old] -= moved) <= 0) counts.erase(old);
+        cells.Add(old, -moved);
         i = j;
       }
     }
   }
 
-  // Two vertices are twins when their incidence lists are identical — every
-  // automorphism-free search can order them arbitrarily, so a cell of
-  // mutual twins never needs individualization. (Covers isolated vertices,
-  // star leaves, and interchangeable pin vertices.) The vertex CSR lists are
-  // sorted, so equal sets are equal ranges.
-  bool VerticesAreTwins(int a, int b) const {
-    const auto& vo = flat_.vertex_offsets();
-    const auto& ve = flat_.vertex_edges();
-    return vo[a + 1] - vo[a] == vo[b + 1] - vo[b] &&
-           std::equal(ve.begin() + vo[a], ve.begin() + vo[a + 1],
-                      ve.begin() + vo[b]);
+  // Splits v off its cell onto a salted color and makes it the only dirty
+  // element, on the trail like any refinement step.
+  void Individualize(int v) {
+    const uint64_t old = vc_[v];
+    const uint64_t fresh = HashCombine(old, kIndivSalt);
+    trail_.push_back({v, old});
+    vcells_.Add(old, -1);
+    vcells_.Add(fresh, 1);
+    vc_[v] = fresh;
+    dirty_v_.assign(1, v);
+    dirty_e_.clear();
+  }
+
+  // Rolls the coloring back to the trail length `mark`.
+  void Undo(size_t mark) {
+    while (trail_.size() > mark) {
+      const Recolor r = trail_.back();
+      trail_.pop_back();
+      const bool edge = r.element < 0;
+      const int x = edge ? ~r.element : r.element;
+      std::vector<uint64_t>& colors = edge ? ec_ : vc_;
+      CellSizes& cells = edge ? ecells_ : vcells_;
+      cells.Add(colors[x], -1);
+      cells.Add(r.old, 1);
+      colors[x] = r.old;
+    }
   }
 
   // Orbit partition of the automorphisms discovered so far (two leaves with
@@ -307,42 +389,40 @@ class CanonicalSearch {
     if (a != b) orbit_[a] = b;
   }
 
-  // The recursive individualization-refinement search. Consumes `c` and the
-  // dirty worklists seeding its refinement (the root passes everything; a
-  // branch passes just its individualized vertex).
-  void Search(Coloring c, std::vector<int> dirty_v, std::vector<int> dirty_e,
-              int depth) {
+  // The recursive individualization-refinement search over the one coloring
+  // it refines in place: each node refines from the dirty elements its
+  // parent left (the root: everything; a branch: its individualized
+  // vertex), and the parent rolls the trail back after each branch.
+  void Search(int depth) {
     ++nodes_;
-    Refine(&c, std::move(dirty_v), std::move(dirty_e));
-    // Group vertices into color cells (sorted by color value, which is
-    // relabeling-invariant; original ids only break ties inside cells).
-    std::vector<int> order(n_);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return c.vc[a] != c.vc[b] ? c.vc[a] < c.vc[b] : a < b;
-    });
+    Refine();
+    // The vertices of non-singleton cells, grouped by color (sorted by color
+    // value, which is relabeling-invariant; original ids only break ties
+    // inside cells).
+    by_color_.clear();
+    for (int v = 0; v < n_; ++v) {
+      if (vcells_.Get(vc_[v]) > 1) by_color_.push_back({vc_[v], v});
+    }
+    std::sort(by_color_.begin(), by_color_.end());
     // Find the target cell: smallest non-twin cell, ties by color value
     // (scan order). Cells wholly made of twins are resolved as-is.
-    int target_begin = -1, target_size = 0;
-    for (int i = 0; i < n_;) {
-      int j = i + 1;
-      while (j < n_ && c.vc[order[j]] == c.vc[order[i]]) ++j;
-      const int size = j - i;
-      if (size > 1) {
-        bool all_twins = true;
-        for (int t = i + 1; t < j && all_twins; ++t) {
-          all_twins = VerticesAreTwins(order[i], order[t]);
-        }
-        if (!all_twins &&
-            (target_begin < 0 || size < target_size)) {
-          target_begin = i;
-          target_size = size;
-        }
+    size_t target_begin = 0, target_size = 0;
+    for (size_t i = 0; i < by_color_.size();) {
+      const int first = by_color_[i].second;
+      bool all_twins = true;
+      size_t j = i + 1;
+      for (; j < by_color_.size() && by_color_[j].first == by_color_[i].first;
+           ++j) {
+        all_twins = all_twins && twin_[by_color_[j].second] == twin_[first];
+      }
+      if (!all_twins && (target_size == 0 || j - i < target_size)) {
+        target_begin = i;
+        target_size = j - i;
       }
       i = j;
     }
-    if (target_begin < 0) {
-      EmitLeaf(order);
+    if (target_size == 0) {
+      EmitLeaf();
       return;
     }
     if (nodes_ >= options_.max_nodes) fallback_ = true;
@@ -350,16 +430,13 @@ class CanonicalSearch {
     // candidates generate identical subtrees. Under the fallback only the
     // first representative is explored (deterministic, not invariant).
     std::vector<int> reps;
-    for (int t = target_begin; t < target_begin + target_size; ++t) {
-      const int v = order[t];
-      bool duplicate = false;
-      for (int r : reps) {
-        if (VerticesAreTwins(r, v)) {
-          duplicate = true;
-          break;
-        }
+    ++twin_stamp_;
+    for (size_t t = target_begin; t < target_begin + target_size; ++t) {
+      const int v = by_color_[t].second;
+      if (twin_seen_[twin_[v]] != twin_stamp_) {
+        twin_seen_[twin_[v]] = twin_stamp_;
+        reps.push_back(v);
       }
-      if (!duplicate) reps.push_back(v);
     }
     // Root-level orbit pruning (McKay): if an already-explored root branch u
     // is in the same orbit as v under the automorphisms found so far, v's
@@ -370,8 +447,7 @@ class CanonicalSearch {
     // rotation, and the remaining n - 1 root branches collapse to orbit
     // lookups. Deeper levels prune by backjumping instead (EmitLeaf).
     std::vector<int> branched;
-    for (size_t b = 0; b < reps.size(); ++b) {
-      const int v = reps[b];
+    for (const int v : reps) {
       if (depth == 0) {
         bool seen = false;
         for (const int u : branched) {
@@ -383,15 +459,12 @@ class CanonicalSearch {
         if (seen) continue;
         branched.push_back(v);
       }
-      Coloring child = c;
-      const uint64_t old = child.vc[v];
-      const uint64_t fresh = HashCombine(old, kIndivSalt);
-      if (--child.vcount.at(old) == 0) child.vcount.erase(old);
-      child.vcount[fresh] += 1;
-      child.vc[v] = fresh;
+      const size_t mark = trail_.size();
+      Individualize(v);
       path_.push_back(v);
-      Search(std::move(child), {v}, {}, depth + 1);
+      Search(depth + 1);
       path_.pop_back();
+      Undo(mark);
       if (fallback_) break;
       if (unwind_to_ >= 0) {
         // A leaf below proved the rest of the subtree at depth unwind_to_ + 1
@@ -406,68 +479,77 @@ class CanonicalSearch {
   // A discrete (or twin-resolved) leaf: derive the permutations, build the
   // canonical encoding, and keep it when lexicographically smaller than the
   // best seen. The first leaf is kept too, for automorphism detection.
-  void EmitLeaf(const std::vector<int>& vertex_order) {
-    std::vector<int> vperm(n_);
-    for (int i = 0; i < n_; ++i) vperm[vertex_order[i]] = i;
-    // Relabel every edge and sort members.
-    std::vector<std::vector<uint32_t>> relabeled(m_);
+  void EmitLeaf() {
+    by_color_.clear();
+    for (int v = 0; v < n_; ++v) by_color_.push_back({vc_[v], v});
+    std::sort(by_color_.begin(), by_color_.end());
+    vperm_.resize(n_);
+    for (int i = 0; i < n_; ++i) vperm_[by_color_[i].second] = i;
+    // Relabel every edge in place on the edge CSR layout and sort members.
     const auto& ev = flat_.edge_vertices();
     const auto& eo = flat_.edge_offsets();
+    relabeled_.resize(ev.size());
+    for (size_t i = 0; i < ev.size(); ++i) {
+      relabeled_[i] = static_cast<uint32_t>(vperm_[ev[i]]);
+    }
     for (int e = 0; e < m_; ++e) {
-      auto& members = relabeled[e];
-      members.reserve(eo[e + 1] - eo[e]);
-      for (int32_t i = eo[e]; i < eo[e + 1]; ++i) {
-        members.push_back(static_cast<uint32_t>(vperm[ev[i]]));
-      }
-      std::sort(members.begin(), members.end());
+      std::sort(relabeled_.begin() + eo[e], relabeled_.begin() + eo[e + 1]);
     }
     // Canonical edge order: lexicographic on relabeled content (edge colors
     // are a refinement of content, so content ordering is invariant); ties
     // are parallel edges — interchangeable, broken by original id.
-    std::vector<int> edge_order(m_);
-    std::iota(edge_order.begin(), edge_order.end(), 0);
-    std::sort(edge_order.begin(), edge_order.end(), [&](int a, int b) {
-      return relabeled[a] != relabeled[b] ? relabeled[a] < relabeled[b]
-                                          : a < b;
+    edge_order_.resize(m_);
+    std::iota(edge_order_.begin(), edge_order_.end(), 0);
+    const uint32_t* rel = relabeled_.data();
+    std::sort(edge_order_.begin(), edge_order_.end(), [&](int a, int b) {
+      return SpanLess(rel + eo[a], rel + eo[a + 1], a, rel + eo[b],
+                      rel + eo[b + 1], b);
     });
-    std::vector<uint32_t> encoding;
-    encoding.reserve(2 + static_cast<size_t>(m_) + ev.size());
-    encoding.push_back(static_cast<uint32_t>(n_));
-    encoding.push_back(static_cast<uint32_t>(m_));
-    for (int e : edge_order) {
-      encoding.push_back(static_cast<uint32_t>(relabeled[e].size()));
-      encoding.insert(encoding.end(), relabeled[e].begin(),
-                      relabeled[e].end());
+    encoding_.clear();
+    encoding_.reserve(2 + static_cast<size_t>(m_) + ev.size());
+    encoding_.push_back(static_cast<uint32_t>(n_));
+    encoding_.push_back(static_cast<uint32_t>(m_));
+    for (const int e : edge_order_) {
+      encoding_.push_back(static_cast<uint32_t>(eo[e + 1] - eo[e]));
+      encoding_.insert(encoding_.end(), rel + eo[e], rel + eo[e + 1]);
     }
     for (const Leaf* earlier : {&first_, &best_}) {
-      if (earlier->set && encoding == earlier->encoding) {
-        ApplyAutomorphism(*earlier, vperm);
+      if (earlier->set && encoding_ == earlier->encoding) {
+        ApplyAutomorphism(*earlier);
         return;
       }
     }
-    if (best_.set && encoding > best_.encoding) return;
-    std::vector<int> eperm(m_);
-    for (int i = 0; i < m_; ++i) eperm[edge_order[i]] = i;
-    if (!first_.set) first_ = {true, encoding, vperm, eperm, path_};
-    best_ = {true, std::move(encoding), std::move(vperm), std::move(eperm),
-             path_};
+    if (best_.set && encoding_ > best_.encoding) return;
+    eperm_.resize(m_);
+    for (int i = 0; i < m_; ++i) eperm_[edge_order_[i]] = i;
+    if (!first_.set) Keep(&first_);
+    Keep(&best_);
   }
 
-  // The current leaf (relabeling `vperm`) has the same encoding as `earlier`,
-  // so gamma = inv(vperm) o earlier.vertex_perm is an automorphism of h that
-  // maps the earlier leaf onto this one. Fold it into the orbit partition for
-  // the root loop. Then, if gamma maps the earlier path onto the current one
-  // up to and including the depth l where they part — it fixes the common
-  // prefix and sends earlier.path[l] to path_[l] — the current depth-(l+1)
-  // subtree is gamma's image of the earlier one. Refinement, the target-cell
-  // rule and the twin test are label-invariant, so every leaf encoding in it
-  // was already seen there (that subtree is finished: the earlier leaf comes
-  // first in DFS order). Unwind to depth l. The first leaf in DFS order that
-  // reaches the minimal encoding is never inside an abandoned subtree, so the
-  // result is the one the unpruned search returns.
-  void ApplyAutomorphism(const Leaf& earlier, const std::vector<int>& vperm) {
+  void Keep(Leaf* leaf) const {
+    leaf->set = true;
+    leaf->encoding = encoding_;
+    leaf->vertex_perm = vperm_;
+    leaf->edge_perm = eperm_;
+    leaf->path = path_;
+  }
+
+  // The current leaf (relabeling `vperm_`) has the same encoding as
+  // `earlier`, so gamma = inv(vperm_) o earlier.vertex_perm is an
+  // automorphism of h that maps the earlier leaf onto this one. Fold it into
+  // the orbit partition for the root loop. Then, if gamma maps the earlier
+  // path onto the current one up to and including the depth l where they
+  // part — it fixes the common prefix and sends earlier.path[l] to path_[l]
+  // — the current depth-(l+1) subtree is gamma's image of the earlier one.
+  // Refinement, the target-cell rule and the twin test are label-invariant,
+  // so every leaf encoding in it was already seen there (that subtree is
+  // finished: the earlier leaf comes first in DFS order). Unwind to depth l.
+  // The first leaf in DFS order that reaches the minimal encoding is never
+  // inside an abandoned subtree, so the result is the one the unpruned
+  // search returns.
+  void ApplyAutomorphism(const Leaf& earlier) {
     std::vector<int> inv(n_);
-    for (int v = 0; v < n_; ++v) inv[vperm[v]] = v;
+    for (int v = 0; v < n_; ++v) inv[vperm_[v]] = v;
     std::vector<int> gamma(n_);
     for (int v = 0; v < n_; ++v) {
       gamma[v] = inv[earlier.vertex_perm[v]];
@@ -484,11 +566,25 @@ class CanonicalSearch {
     }
   }
 
-  const Hypergraph& h_;
   const FlatHypergraph& flat_;
   const CanonicalizeOptions& options_;
   const int n_;
   const int m_;
+  // The coloring the search refines in place, its cell sizes, and the trail
+  // of recolorings that Undo rolls back.
+  std::vector<uint64_t> vc_;
+  std::vector<uint64_t> ec_;
+  CellSizes vcells_;
+  CellSizes ecells_;
+  std::vector<Recolor> trail_;
+  // The just-split elements the next Refine starts from.
+  std::vector<int> dirty_v_;
+  std::vector<int> dirty_e_;
+  // Twin class per vertex, and the stamps that pick one representative per
+  // class from a target cell.
+  std::vector<int> twin_;
+  std::vector<long> twin_seen_;
+  long twin_stamp_ = 0;
   Leaf first_;
   Leaf best_;
   // Vertices individualized on the way to the current node.
@@ -505,6 +601,16 @@ class CanonicalSearch {
   long nodes_ = 0;
   long rounds_ = 0;
   bool fallback_ = false;
+  // Scratch reused across nodes and leaves.
+  std::vector<int> touched_;
+  std::vector<uint64_t> neighbors_;
+  std::vector<std::array<uint64_t, 3>> scored_;
+  std::vector<std::pair<uint64_t, int>> by_color_;
+  std::vector<int> vperm_;
+  std::vector<int> eperm_;
+  std::vector<uint32_t> relabeled_;
+  std::vector<int> edge_order_;
+  std::vector<uint32_t> encoding_;
 };
 
 }  // namespace
@@ -522,6 +628,11 @@ std::string InstanceKey::ToHex() const {
 CanonicalFormResult Canonicalize(const Hypergraph& h,
                                  const CanonicalizeOptions& options) {
   return CanonicalSearch(h, options).Run();
+}
+
+RefinedColoring StableColoring(const Hypergraph& h, int individualized) {
+  const CanonicalizeOptions options;
+  return CanonicalSearch(h, options).Stable(individualized);
 }
 
 Hypergraph RelabeledHypergraph(const Hypergraph& h,

@@ -17,11 +17,16 @@
 // edge colors by the multiset of member vertex colors — seeded with a
 // degree/arity/intersection profile and run over the FlatHypergraph CSR
 // arrays only (the intersection profile counts shared vertices through the
-// vertex CSR). When refinement stabilizes with non-singleton cells, the
-// standard individualization-refinement search distinguishes one vertex of a
-// canonically chosen cell per branch and takes the lexicographically
-// smallest discrete leaf; cells of mutual twins (identical incidence lists)
-// never branch — their members are interchangeable by an automorphism.
+// vertex CSR). Refinement follows Hopcroft's "all but the largest" rule: of
+// a cell that splits, the largest part keeps its color and is not rescored
+// from, so a round costs what it changes. When refinement stabilizes with
+// non-singleton cells, the standard individualization-refinement search
+// distinguishes one vertex of a canonically chosen cell per branch and takes
+// the lexicographically smallest discrete leaf; cells of mutual twins
+// (identical incidence lists) never branch — their members are
+// interchangeable by an automorphism. The search refines one coloring in
+// place and rolls each branch back through a trail of recolorings, so a
+// branch copies nothing.
 //
 // Two leaves with equal encodings give an automorphism. It prunes twice:
 // at the root, branches in an explored orbit are skipped; below the root,
@@ -83,12 +88,14 @@ struct InstanceKeyHash {
 
 struct CanonicalizeOptions {
   /// Individualization-refinement node budget. Past it the search finishes
-  /// greedily and the result is marked non-canonical. The default covers
-  /// every suite and benchmark family: cycles and grids need at most 8
-  /// nodes, bridges of k diamonds (k + 2)(k + 3) / 2 (351 at k = 24),
-  /// hypercubes 3-5 at most 46. Disjoint unions of components that
-  /// refinement cannot tell apart can still overflow it (orbits prune only
-  /// at the root).
+  /// greedily and the result is marked non-canonical. A node costs the
+  /// refinement its individualization sets off plus an O(n) scan, and a
+  /// branch is rolled back, not copied, so the budget bounds time as well as
+  /// memory. The default covers every suite and benchmark family: cycles
+  /// and grids need at most 10 nodes, bridges of k diamonds
+  /// (k + 2)(k + 3) / 2 (351 at k = 24), hypercubes 3-5 at most 46.
+  /// Disjoint unions of components that refinement cannot tell apart can
+  /// still overflow it (orbits prune only at the root).
   long max_nodes = 4096;
 };
 
@@ -117,11 +124,28 @@ struct CanonicalFormResult {
   long backjumps = 0;
 };
 
-/// Computes the canonical form of h. Deterministic; never fails. Cost is
-/// refinement (near-linear per round) times the individualization nodes —
-/// microseconds on the suite families, see BM_Canonicalize.
+/// Computes the canonical form of h. Deterministic; never fails. Each search
+/// node costs the refinement work its individualization sets off (the
+/// elements whose color changes and their neighbors) plus an O(n) scan for
+/// the target cell; each leaf sorts the relabeled edges. Tens to hundreds of
+/// microseconds on the repeat_batch catalogue; BM_Canonicalize,
+/// BM_CanonicalizeWindow and BM_CanonicalizeAdder pin it.
 CanonicalFormResult Canonicalize(const Hypergraph& h,
                                  const CanonicalizeOptions& options = {});
+
+/// A stable coloring, as the search sees it: colors are opaque 64-bit values
+/// and only the partitions they induce on the vertices and on the edges
+/// mean anything.
+struct RefinedColoring {
+  std::vector<uint64_t> vertex_colors;
+  std::vector<uint64_t> edge_colors;
+};
+
+/// The stable coloring refinement reaches on h from the seed colors (the
+/// root of the search); with `individualized` a vertex, that coloring after
+/// the vertex is split off and refinement runs again (a depth-1 node).
+/// Exposed so tests can compare the partitions with a reference refinement.
+RefinedColoring StableColoring(const Hypergraph& h, int individualized = -1);
 
 /// Rebuilds h with vertex v renamed to vertex_perm[v] and edge e moved to
 /// position edge_perm[e] (names travel with their vertices/edges). The

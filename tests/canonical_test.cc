@@ -5,17 +5,27 @@
 //
 // The library search is also compared with a reference version kept only
 // here: the search before automorphism backjumping, which prunes by orbits at
-// the root alone and scores the intersection profile on the edges' dense
-// vertex sets. On data/*.hg, on the repeat_batch benchmark catalogue under
-// relabelings and on random instances, wherever the reference finishes
-// within its node budget, the library must return the same key, vertex and
-// edge permutations and canonical flag. Bridges, disjoint unions and
-// hypercubes, which the reference cannot all finish, must canonicalize within
-// the default budget in polynomially many nodes.
+// the root alone, scores the intersection profile on the edges' dense vertex
+// sets and copies its coloring into every branch. On data/*.hg, on the
+// repeat_batch benchmark catalogue under relabelings and on random
+// instances, wherever the reference finishes within its node budget, the
+// library must return the same key, vertex and edge permutations and
+// canonical flag. Bridges, disjoint unions and hypercubes, which the
+// reference cannot all finish, must canonicalize within the default budget
+// in polynomially many nodes.
+//
+// The reference refines with Hopcroft's "all but the largest" rule, as the
+// library does. Its refinement can also run by the earlier rule, which moves
+// every member of a wholly rescored cell that splits to a fresh color and
+// rescores from all of them: the two rules must reach the same stable
+// partition, at the root and after individualizing each vertex of the
+// target cell.
 #include <algorithm>
 #include <array>
 #include <filesystem>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +37,7 @@
 #include "gtest/gtest.h"
 #include "htd/det_k_decomp.h"
 #include "hypergraph/canonical.h"
+#include "hypergraph/cell_sizes.h"
 #include "hypergraph/flat_hypergraph.h"
 #include "hypergraph/hg_io.h"
 #include "hypergraph/hypergraph_builder.h"
@@ -40,8 +51,15 @@ namespace ghd {
 namespace {
 
 // ---- Reference: the individualization-refinement search without
-// backjumping, verbatim but for its comments and counters.
+// backjumping, verbatim but for its comments, its counters and the choice
+// of refinement rule.
 namespace ref {
+
+// How Refine splits a wholly rescored cell: every signature group to a fresh
+// color, each re-dirtied (the earlier rule, the oracle for the partition),
+// or all but the largest group (ties: smallest signature), which keeps the
+// old color and stays clean (the library's rule; the search uses it).
+enum class SplitRule { kAllParts, kAllButLargest };
 
 constexpr uint64_t kVertexSeed = 0x633d5c0744964b1dull;
 constexpr uint64_t kEdgeSeed = 0x2b1f8e7a94d3c5f1ull;
@@ -84,10 +102,36 @@ struct BestLeaf {
 
 class RefCanonicalSearch {
  public:
-  RefCanonicalSearch(const Hypergraph& h, const CanonicalizeOptions& options)
-      : h_(h), flat_(h.Flat()), options_(options),
+  RefCanonicalSearch(const Hypergraph& h, const CanonicalizeOptions& options,
+                     SplitRule rule = SplitRule::kAllButLargest)
+      : h_(h), flat_(h.Flat()), options_(options), rule_(rule),
         n_(h.num_vertices()), m_(h.num_edges()),
         stamp_v_(h.num_vertices(), 0), stamp_e_(h.num_edges(), 0) {}
+
+  // As the library's StableColoring: the root's stable coloring (refined
+  // once per search object), refined again after individualizing
+  // `individualized` when it is a vertex.
+  RefinedColoring Stable(int individualized) {
+    if (!root_.has_value()) {
+      root_.emplace();
+      InitialColors(&*root_);
+      std::vector<int> all_v(n_), all_e(m_);
+      std::iota(all_v.begin(), all_v.end(), 0);
+      std::iota(all_e.begin(), all_e.end(), 0);
+      Refine(&*root_, std::move(all_v), std::move(all_e));
+    }
+    Coloring c = *root_;
+    if (individualized >= 0) {
+      const int v = individualized;
+      const uint64_t old = c.vc[v];
+      const uint64_t fresh = HashCombine(old, kIndivSalt);
+      if (--c.vcount.at(old) == 0) c.vcount.erase(old);
+      c.vcount[fresh] += 1;
+      c.vc[v] = fresh;
+      Refine(&c, {v}, {});
+    }
+    return {c.vc, c.ec};
+  }
 
   CanonicalFormResult Run() {
     CanonicalFormResult result;
@@ -226,10 +270,27 @@ class RefCanonicalSearch {
           i = j;
           continue;
         }
+        size_t keep = j, keep_size = 0;
+        if (rule_ == SplitRule::kAllButLargest &&
+            static_cast<int>(j - i) == cell_size) {
+          for (size_t g = i; g < j;) {
+            size_t h = g;
+            while (h < j && scored[h][1] == scored[g][1]) ++h;
+            if (h - g > keep_size) {
+              keep = g;
+              keep_size = h - g;
+            }
+            g = h;
+          }
+        }
         int moved = 0;
         for (size_t g = i; g < j;) {
           size_t h = g;
           while (h < j && scored[h][1] == scored[g][1]) ++h;
+          if (g == keep) {
+            g = h;
+            continue;
+          }
           const uint64_t fresh = HashCombine(old, scored[g][1]);
           for (size_t t = g; t < h; ++t) {
             const int x = static_cast<int>(scored[t][2]);
@@ -378,6 +439,8 @@ class RefCanonicalSearch {
   const Hypergraph& h_;
   const FlatHypergraph& flat_;
   const CanonicalizeOptions& options_;
+  const SplitRule rule_;
+  std::optional<Coloring> root_;
   const int n_;
   const int m_;
   BestLeaf best_;
@@ -697,6 +760,155 @@ TEST(CanonicalTest, MatchesReferenceOnRandomInstances) {
         "bounded seed " + std::to_string(seed), 2, 400 + seed);
   }
   EXPECT_EQ(compared, 240);
+}
+
+// --- refinement rule ---------------------------------------------------------
+
+// Colors renumbered by first occurrence: equal vectors, equal partitions.
+std::vector<int> Blocks(const std::vector<uint64_t>& colors) {
+  std::unordered_map<uint64_t, int> block;
+  std::vector<int> out;
+  out.reserve(colors.size());
+  for (const uint64_t c : colors) {
+    out.push_back(
+        block.emplace(c, static_cast<int>(block.size())).first->second);
+  }
+  return out;
+}
+
+void ExpectSamePartition(const RefinedColoring& got,
+                         const RefinedColoring& want,
+                         const std::string& what) {
+  EXPECT_EQ(Blocks(got.vertex_colors), Blocks(want.vertex_colors)) << what;
+  EXPECT_EQ(Blocks(got.edge_colors), Blocks(want.edge_colors)) << what;
+}
+
+// The target cell by the search's rule: the smallest vertex cell not wholly
+// made of twins, ties by color value. Empty when there is none.
+std::vector<int> TargetCell(const Hypergraph& h,
+                            const std::vector<uint64_t>& colors) {
+  std::map<uint64_t, std::vector<int>> cells;
+  for (int v = 0; v < h.num_vertices(); ++v) cells[colors[v]].push_back(v);
+  const auto& vo = h.Flat().vertex_offsets();
+  const auto& ve = h.Flat().vertex_edges();
+  std::vector<int> target;
+  for (const auto& [color, cell] : cells) {
+    if (cell.size() < 2 || (!target.empty() && cell.size() >= target.size())) {
+      continue;
+    }
+    const bool all_twins =
+        std::all_of(cell.begin(), cell.end(), [&](int v) {
+          return std::equal(ve.begin() + vo[v], ve.begin() + vo[v + 1],
+                            ve.begin() + vo[cell[0]],
+                            ve.begin() + vo[cell[0] + 1]);
+        });
+    if (!all_twins) target = cell;
+  }
+  return target;
+}
+
+// Asserts that the library's refinement and the reference's all-parts rule
+// reach the same partitions on h, at the root and after individualizing each
+// vertex of the target cell; returns how many vertices were individualized.
+int ExpectRuleKeepsPartitions(const Hypergraph& h, const std::string& what) {
+  const CanonicalizeOptions options;
+  ref::RefCanonicalSearch oracle(h, options, ref::SplitRule::kAllParts);
+  const RefinedColoring root = StableColoring(h);
+  ExpectSamePartition(root, oracle.Stable(-1), what + " root");
+  const std::vector<int> target = TargetCell(h, root.vertex_colors);
+  for (const int v : target) {
+    ExpectSamePartition(StableColoring(h, v), oracle.Stable(v),
+                        what + " after individualizing " + std::to_string(v));
+  }
+  return static_cast<int>(target.size());
+}
+
+// h and `relabelings` seeded relabelings of it; returns the vertices
+// individualized across all of them.
+int ExpectRuleKeepsPartitionsRelabeled(const Hypergraph& h,
+                                       const std::string& what,
+                                       int relabelings, uint64_t seed) {
+  int individualized = ExpectRuleKeepsPartitions(h, what);
+  Rng rng(seed);
+  for (int r = 0; r < relabelings; ++r) {
+    const Hypergraph g = RelabeledHypergraph(
+        h, RandomPerm(h.num_vertices(), &rng), RandomPerm(h.num_edges(), &rng));
+    individualized += ExpectRuleKeepsPartitions(
+        g, what + " relabeling " + std::to_string(r));
+  }
+  return individualized;
+}
+
+TEST(CanonicalTest, RefinementRuleKeepsPartitionsOnDataFiles) {
+  int individualized = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(GHD_DATA_DIR)) {
+    if (entry.path().extension() != ".hg") continue;
+    Result<Hypergraph> parsed = LoadHg(entry.path().string());
+    ASSERT_TRUE(parsed.ok()) << entry.path();
+    individualized += ExpectRuleKeepsPartitionsRelabeled(
+        parsed.value(), entry.path().filename().string(), 3, 15);
+  }
+  EXPECT_GT(individualized, 0);
+}
+
+TEST(CanonicalTest, RefinementRuleKeepsPartitionsOnRepeatBatchCatalogue) {
+  const auto catalogue = RepeatBatchCatalogue();
+  ASSERT_EQ(catalogue.size(), 89u);
+  int individualized = 0;
+  uint64_t seed = 2000;
+  for (const auto& [name, h] : catalogue) {
+    individualized += ExpectRuleKeepsPartitionsRelabeled(h, name, 2, seed++);
+  }
+  EXPECT_GT(individualized, 1000);
+}
+
+TEST(CanonicalTest, RefinementRuleKeepsPartitionsOnRandomInstances) {
+  int individualized = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    const int n = 8 + static_cast<int>(seed % 5) * 6;
+    const int m = 6 + static_cast<int>(seed % 7) * 4;
+    individualized += ExpectRuleKeepsPartitionsRelabeled(
+        RandomUniformHypergraph(n, m, 2 + static_cast<int>(seed % 3), seed),
+        "uniform seed " + std::to_string(seed), 2, 500 + seed);
+    individualized += ExpectRuleKeepsPartitionsRelabeled(
+        RandomBoundedIntersectionHypergraph(n + 4, m / 2 + 3, 3, 1, seed),
+        "bounded seed " + std::to_string(seed), 2, 600 + seed);
+  }
+  EXPECT_GT(individualized, 0);
+}
+
+// --- cell sizes ---------------------------------------------------------------
+
+// The search's flat count table against a map, on colors whose low bits
+// collide in a few home slots: long probe runs, inserts and erases inside
+// them, and runs that wrap past the last slot.
+TEST(CanonicalTest, CellSizesMatchAMapUnderCollidingColors) {
+  constexpr int kElements = 20;  // 64 slots
+  std::vector<uint64_t> pool;
+  for (uint64_t r = 0; r < 40; ++r) pool.push_back((r << 6) | (60 + r % 3));
+  Rng rng(17);
+  CellSizes table(kElements);
+  std::unordered_map<uint64_t, int> model;
+  int live = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t color = pool[rng.UniformInt(static_cast<int>(pool.size()))];
+    int& size = model[color];
+    if (size > 0 && rng.Bernoulli(0.5)) {
+      table.Add(color, -1);
+      if (--size == 0) --live;
+    } else if (size > 0 || live < kElements) {
+      const int delta = 1 + rng.UniformInt(3);
+      table.Add(color, delta);
+      if (size == 0) ++live;
+      size += delta;
+    }
+    for (const uint64_t c : pool) {
+      const auto it = model.find(c);
+      ASSERT_EQ(table.Get(c), it == model.end() ? 0 : it->second)
+          << "step " << step;
+    }
+  }
 }
 
 // --- automorphism backjumping ----------------------------------------------

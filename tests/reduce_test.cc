@@ -1,9 +1,16 @@
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include "core/ghw_exact.h"
 #include "gen/random_hypergraphs.h"
 #include "gtest/gtest.h"
 #include "htd/det_k_decomp.h"
+#include "hypergraph/hg_io.h"
 #include "hypergraph/hypergraph_builder.h"
 #include "hypergraph/reduce.h"
+#include "test_instances.h"
+#include "util/rng.h"
 
 namespace ghd {
 namespace {
@@ -86,6 +93,145 @@ TEST(ReduceTest, HwIsInvariant) {
   HypertreeWidthResult red = HypertreeWidth(RemoveSubsumedEdges(h));
   ASSERT_TRUE(full.exact && red.exact);
   EXPECT_EQ(full.width, red.width);
+}
+
+// ---- Reference: the pairwise sweep over all m^2 edge pairs that the vertex
+// CSR scan replaced, verbatim.
+std::vector<char> PairwiseSubsumedFlags(const Hypergraph& h) {
+  const int m = h.num_edges();
+  std::vector<char> subsumed(m, 0);
+  for (int e = 0; e < m; ++e) {
+    for (int f = 0; f < m && !subsumed[e]; ++f) {
+      if (e == f || subsumed[f]) continue;
+      if (h.edge(e).IsSubsetOf(h.edge(f))) {
+        // Duplicates: keep the lower id.
+        if (h.edge(e) == h.edge(f) && e < f) continue;
+        subsumed[e] = 1;
+      }
+    }
+  }
+  return subsumed;
+}
+
+// Asserts that RemoveSubsumedEdgesMapped and CountSubsumedEdges agree with
+// the pairwise sweep on h: the same kept edges, the same superset_of (the
+// first surviving superset in id order) and the same count. Returns the
+// number of dropped edges.
+int ExpectMatchesPairwiseSweep(const Hypergraph& h, const std::string& what) {
+  const std::vector<char> subsumed = PairwiseSubsumedFlags(h);
+  const int m = h.num_edges();
+  std::vector<int> kept, reduced_id(m, -1);
+  for (int e = 0; e < m; ++e) {
+    if (subsumed[e]) continue;
+    reduced_id[e] = static_cast<int>(kept.size());
+    kept.push_back(e);
+  }
+  std::vector<int> superset_of(m, -1);
+  for (int e = 0; e < m; ++e) {
+    if (!subsumed[e]) {
+      superset_of[e] = reduced_id[e];
+      continue;
+    }
+    for (int f = 0; f < m; ++f) {
+      if (!subsumed[f] && h.edge(e).IsSubsetOf(h.edge(f))) {
+        superset_of[e] = reduced_id[f];
+        break;
+      }
+    }
+  }
+  const ReducedHypergraph r = RemoveSubsumedEdgesMapped(h);
+  EXPECT_EQ(r.kept_edges, kept) << what;
+  EXPECT_EQ(r.superset_of, superset_of) << what;
+  const int dropped = m - static_cast<int>(kept.size());
+  EXPECT_EQ(CountSubsumedEdges(h), dropped) << what;
+  EXPECT_EQ(r.reduced.num_edges(), static_cast<int>(kept.size())) << what;
+  return dropped;
+}
+
+// h and `relabelings` seeded relabelings of it; returns the dropped edges
+// summed over all of them.
+int ExpectMatchesPairwiseSweepRelabeled(const Hypergraph& h,
+                                        const std::string& what,
+                                        int relabelings, uint64_t seed) {
+  int dropped = ExpectMatchesPairwiseSweep(h, what);
+  Rng rng(seed);
+  for (int r = 0; r < relabelings; ++r) {
+    dropped += ExpectMatchesPairwiseSweep(
+        RandomRelabeling(h, &rng), what + " relabeling " + std::to_string(r));
+  }
+  return dropped;
+}
+
+// `m` random edges of arity 0..max_arity over n vertices, then copies of
+// some of them, subsets of others and an extra empty edge, all shuffled in:
+// duplicates, containments, empty edges and a superset that comes after its
+// subsets all occur.
+Hypergraph RandomSubsumptionHypergraph(int n, int m, int max_arity,
+                                       uint64_t seed) {
+  Rng rng(seed);
+  std::vector<VertexSet> edges;
+  for (int e = 0; e < m; ++e) {
+    VertexSet edge(n);
+    const int arity = rng.UniformInt(max_arity + 1);
+    for (int i = 0; i < arity; ++i) edge.Set(rng.UniformInt(n));
+    edges.push_back(edge);
+    if (rng.Bernoulli(0.3)) edges.push_back(edge);
+    if (rng.Bernoulli(0.3)) {
+      VertexSet sub(n);
+      edge.ForEach([&](int v) {
+        if (rng.Bernoulli(0.5)) sub.Set(v);
+      });
+      edges.push_back(sub);
+    }
+  }
+  edges.push_back(VertexSet(n));
+  const std::vector<int> order =
+      RandomPerm(static_cast<int>(edges.size()), &rng);
+  std::vector<VertexSet> shuffled(edges.size(), VertexSet(n));
+  std::vector<std::string> vertex_names, edge_names;
+  for (size_t i = 0; i < edges.size(); ++i) {
+    shuffled[order[i]] = edges[i];
+    edge_names.push_back("e" + std::to_string(i));
+  }
+  for (int v = 0; v < n; ++v) vertex_names.push_back("v" + std::to_string(v));
+  return Hypergraph(std::move(vertex_names), std::move(edge_names),
+                    std::move(shuffled));
+}
+
+TEST(ReduceTest, MatchesPairwiseSweepOnDataFiles) {
+  int files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(GHD_DATA_DIR)) {
+    if (entry.path().extension() != ".hg") continue;
+    Result<Hypergraph> parsed = LoadHg(entry.path().string());
+    ASSERT_TRUE(parsed.ok()) << entry.path();
+    ExpectMatchesPairwiseSweepRelabeled(
+        parsed.value(), entry.path().filename().string(), 3, 7);
+    ++files;
+  }
+  EXPECT_GE(files, 10);
+}
+
+TEST(ReduceTest, MatchesPairwiseSweepOnRepeatBatchCatalogue) {
+  const auto catalogue = RepeatBatchCatalogue();
+  ASSERT_EQ(catalogue.size(), 89u);
+  uint64_t seed = 3000;
+  for (const auto& [name, h] : catalogue) {
+    ExpectMatchesPairwiseSweepRelabeled(h, name, 2, seed++);
+  }
+}
+
+TEST(ReduceTest, MatchesPairwiseSweepOnRandomInstances) {
+  int dropped = 0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    const int n = 4 + static_cast<int>(seed % 6) * 12;
+    const int m = 5 + static_cast<int>(seed % 7) * 9;
+    const int max_arity = 1 + static_cast<int>(seed % 5);
+    dropped += ExpectMatchesPairwiseSweepRelabeled(
+        RandomSubsumptionHypergraph(n, m, max_arity, seed),
+        "seed " + std::to_string(seed), 3, 800 + seed);
+  }
+  EXPECT_GT(dropped, 1000);
 }
 
 }  // namespace
